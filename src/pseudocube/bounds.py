@@ -12,7 +12,8 @@ from dataclasses import dataclass
 from math import comb
 from typing import Iterator, NamedTuple
 
-from .classes import CapExceeded, DEFAULT_ENUMERATION_CAP, HypothesisClass, Pattern
+from .classes import (CapExceeded, DEFAULT_ENUMERATION_CAP, HypothesisClass, Pattern,
+                      lines)
 from .dims import ds_dimension
 
 
@@ -144,11 +145,10 @@ def build_extension_graph(h: HypothesisClass, coordinate: int | None = None) -> 
     i = h.n - 1 if coordinate is None else coordinate
     if not (0 <= i < h.n):
         raise ValueError(f"coordinate {i} out of range [0,{h.n})")
-    extensions: dict[Pattern, list[int]] = {}
-    for p in h.patterns:
-        extensions.setdefault(p[:i] + p[i + 1:], []).append(p[i])
+    extensions = {u: sorted(p[i] for p in members)
+                  for (_, u), members in lines(h.patterns, (i,)).items()}
     left = tuple(sorted(u for u, exts in extensions.items() if len(exts) >= 2))
-    edges = tuple((u, a) for u in left for a in sorted(extensions[u]))
+    edges = tuple((u, a) for u in left for a in extensions[u])
     return ExtensionGraph(left=left, right=tuple(range(h.k)), edges=edges)
 
 

@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import json
 import random
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 Pattern = tuple[int, ...]
 Coords = tuple[int, ...]
@@ -88,6 +89,18 @@ def validate_coords(coords: Iterable[int], n: int) -> Coords:
     if s[0] < 0 or s[-1] >= n:
         raise ValueError(f"coordinate set {s} out of range [0,{n})")
     return s
+
+
+def lines(patterns: Iterable[Pattern],
+          directions: Sequence[int]) -> dict[tuple[int, Pattern], list[Pattern]]:
+    """The line index: key (i, pattern without coordinate i) holds the
+    patterns, in input order, that agree off direction i, for every i in
+    ``directions``."""
+    index: dict[tuple[int, Pattern], list[Pattern]] = defaultdict(list)
+    for p in patterns:
+        for i in directions:
+            index[(i, p[:i] + p[i + 1:])].append(p)
+    return index
 
 
 def project(hc: HypothesisClass, coords: Iterable[int]) -> HypothesisClass:
@@ -205,14 +218,19 @@ def parse_class_json(text: str | bytes) -> HypothesisClass:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ClassFormatError(exc.lineno, f"invalid JSON: {exc.msg}") from None
+    if not isinstance(obj, dict):
+        raise ClassFormatError(1, "expected a JSON object")
     for field in ("n", "k", "patterns"):
         if field not in obj:
             raise ClassFormatError(1, f"missing field {field!r}")
     n, k = obj["n"], obj["k"]
     if not isinstance(n, int) or not isinstance(k, int) or n < 1 or k < 2:
         raise ClassFormatError(1, f"need integer n >= 1 and k >= 2, got n={n!r} k={k!r}")
+    rows = obj["patterns"]
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise ClassFormatError(1, "field 'patterns' must be a list of lists")
     patterns: set[Pattern] = set()
-    for row in obj["patterns"]:
+    for row in rows:
         t = tuple(row)
         if len(t) != n:
             raise ClassFormatError(1, f"pattern {t} has length {len(t)}, expected {n}")

@@ -169,10 +169,12 @@ def _cmd_oig(args, out) -> int:
 
 def _cmd_cert(args, out) -> int:
     if args.action == "verify":
+        if args.cert is None:
+            raise ValueError("cert verify needs --cert")
         with open(args.cert, "r", encoding="utf-8") as fh:
             cert, embedded = load_certificate(fh.read())
         h = _read_class(args.input) if args.input else embedded
-        if args.input and h.patterns != embedded.patterns:
+        if args.input and h != embedded:
             _emit(out, "certificate class differs from --input class")
             return EXIT_VERIFY_FAILED
         report = verify_certificate(cert, h)
@@ -387,7 +389,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--input", required=input_required,
                        help="class file path, or - for stdin")
         p.add_argument("--ell", type=int, default=1)
-        p.add_argument("--format", choices=("text", "csv", "json"), default="text")
+        p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("dim", help="compute a dimension of a class")
     p.add_argument("kind", choices=("ds", "nat", "exp", "graph"))
@@ -400,7 +402,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("kind", choices=("ds", "nat"))
     for name in ("--n", "--k", "--ell", "--d"):
         p.add_argument(name, type=int, required=True)
-    p.add_argument("--format", choices=("text", "csv", "json"), default="text")
+    p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=_cmd_bound)
 
     p = sub.add_parser("gen", help="generate a class file")

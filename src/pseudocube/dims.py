@@ -12,6 +12,10 @@ Conventions used throughout:
   Cartesian product of (ell+1)-subsets (Natarajan flavor).
 * For ell >= k no projection can offer ell+1 distinct values per line, so
   the DS and Natarajan dimensions degenerate to 0; a warning is emitted.
+
+Lines come from the one line index, ``classes.lines``.  ``max_pseudocube_core``
+is the one peel engine: the peeling orders of the certificates in
+``polycert`` are its traces.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Iterable
 
-from .classes import CapExceeded, Coords, HypothesisClass, Pattern, project
+from .classes import CapExceeded, Coords, HypothesisClass, Pattern, lines, project
 
 GRAPH_DIM_BUDGET = 2 ** 22
 
@@ -55,22 +59,13 @@ class DimensionResult:
     witness_structure: object = None
 
 
-def _lines(patterns: Iterable[Pattern], n: int) -> dict[tuple[int, Pattern], list[Pattern]]:
-    """Group patterns into lines: key (direction i, values off i)."""
-    lines: dict[tuple[int, Pattern], list[Pattern]] = defaultdict(list)
-    for p in patterns:
-        for i in range(n):
-            lines[(i, p[:i] + p[i + 1:])].append(p)
-    return lines
-
-
 def is_pseudocube(b: HypothesisClass, m: int) -> bool:
     """True iff every pattern of ``b`` has >= m-1 neighbors in every direction."""
     if b.is_empty:
         raise ValueError("the empty class is not a pseudo-cube of any order")
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    return all(len(members) >= m for members in _lines(b.patterns, b.n).values())
+    return all(len(members) >= m for members in lines(b.patterns, range(b.n)).values())
 
 
 def max_pseudocube_core(p: HypothesisClass, m: int) -> PseudoCubeReport:
@@ -85,17 +80,9 @@ def max_pseudocube_core(p: HypothesisClass, m: int) -> PseudoCubeReport:
         raise ValueError(f"m must be >= 1, got {m}")
     alive = set(p.patterns)
     n = p.n
-    size: dict[tuple[int, Pattern], int] = {}
-    members: dict[tuple[int, Pattern], list[Pattern]] = {}
-    for key, pats in _lines(alive, n).items():
-        size[key] = len(pats)
-        members[key] = pats
-    heap: list[tuple[Pattern, int]] = []
-    for key, pats in members.items():
-        if size[key] < m:
-            i = key[0]
-            for q in pats:
-                heap.append((q, i))
+    members = lines(alive, range(n))
+    size = {key: len(pats) for key, pats in members.items()}
+    heap = [(q, i) for (i, _), pats in members.items() if len(pats) < m for q in pats]
     heapq.heapify(heap)
     trace: list[tuple[Pattern, int]] = []
     while heap:

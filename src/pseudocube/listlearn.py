@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Optional, Sequence
 
-from .classes import CapExceeded, HypothesisClass, Pattern
+from .classes import CapExceeded, HypothesisClass, Pattern, lines
 from .dims import ListClass, ListMember, ds_dimension, graph_dimension
 from .oig import min_max_orientation_indexed
 
@@ -168,11 +168,6 @@ def population_error(task: ConceptTask, predictor: ListPredictor) -> Fraction:
                Fraction(0))
 
 
-def sample_realizable(concepts: HypothesisClass, sample: Sequence[LabeledPair]) -> bool:
-    """Does some concept match every labeled pair?"""
-    return any(all(c[x] == y for x, y in sample) for c in concepts.patterns)
-
-
 def _draw_pairs(task: ConceptTask, m: int, rng: random.Random) -> list[LabeledPair]:
     cum = task.cum_weights()
     xs = rng.choices(range(task.n), cum_weights=cum, k=m)
@@ -240,35 +235,18 @@ def _reduced_problem(concepts: HypothesisClass, mu: ListPredictor,
     if mult[x] >= 2:
         return verts, [], star, None, xs
     index = {v: j for j, v in enumerate(verts)}
+    # repeated instances are left out: every edge in their direction is a singleton
+    once = [slot[u] for u in distinct if mult[u] == 1]
+    star_key = (xs, star[0][:xs] + star[0][xs + 1:])
     edges: list[tuple[int, ...]] = []
     star_edge: Optional[int] = None
-    star_key = star[0][:xs] + star[0][xs + 1:]
-    for u in distinct:
-        if mult[u] != 1:
-            continue  # repeated instances: every edge in that direction is a singleton
-        su = slot[u]
-        groups: dict[Pattern, list[int]] = {}
-        for v in verts:
-            groups.setdefault(v[:su] + v[su + 1:], []).append(index[v])
-        for key in sorted(groups):
-            if u == x and key == star_key:
-                star_edge = len(edges)
-            edges.append(tuple(groups[key]))
-    assert star_edge is not None
+    for key, members in sorted(lines(verts, once).items()):
+        if key == star_key:
+            star_edge = len(edges)
+        edges.append(tuple(index[v] for v in members))
+    if star_edge is None:
+        raise AssertionError("the test direction must hold the label-consistent edge")
     return verts, edges, star, star_edge, xs
-
-
-def restriction_class(concepts: HypothesisClass, mu: ListPredictor,
-                      points: Sequence[int]) -> HypothesisClass:
-    """The full restriction the predictor reasons about: distinct patterns of
-    the class on the point sequence whose entries lie in mu's lists.  Used by
-    diagnostics and tests; prediction itself runs on the reduced form."""
-    out = set()
-    for c in concepts.patterns:
-        r = tuple(c[u] for u in points)
-        if all(v in mu(u) for v, u in zip(r, points)):
-            out.add(r)
-    return HypothesisClass(len(points), concepts.k, frozenset(out))
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +261,6 @@ class ExperimentConfig:
     trials: int = 1000
     seed: int = 0
     ell: int = 1
-    ell_prime: Optional[int] = None
     chunk_factor: int = 160
     val_factor: int = 32
     test_size: int = 1000
@@ -293,8 +270,6 @@ class ExperimentConfig:
             raise ValueError("epsilon and delta must lie in (0,1)")
         if self.m < 1 or self.trials < 1 or self.ell < 1:
             raise ValueError("need m >= 1, trials >= 1, ell >= 1")
-        if self.ell_prime is not None and self.ell_prime < self.ell:
-            raise ValueError("ell_prime must be at least ell")
 
 
 @dataclass(frozen=True)

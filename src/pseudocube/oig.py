@@ -4,7 +4,8 @@ maximum density, and min-max list orientations via an integer flow network.
 The one-inclusion graph of a class groups its patterns into hyperedges, one
 per (direction i, assignment to the other coordinates): the patterns that
 agree everywhere except possibly at i.  Every vertex lies in exactly n edges,
-one per direction (its own line, possibly a singleton).
+one per direction (its own line, possibly a singleton).  The hyperedges, the
+shift and the density count all read their lines from ``classes.lines``.
 
 A list orientation assigns to each edge at most ell of its own vertices; a
 vertex pays one unit of ell-outdegree for every incident edge that does not
@@ -17,12 +18,11 @@ maximum flow, so the result is an exact optimum, not an upper bound.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .classes import CapExceeded, HypothesisClass, Pattern
+from .classes import CapExceeded, HypothesisClass, Pattern, lines
 
 DENSITY_BRUTEFORCE_CAP = 14
 
@@ -51,12 +51,8 @@ def build_oig(h: HypothesisClass) -> OneInclusionGraph:
     """Build the complete hyperedge set; total edge membership is n * |H|."""
     if h.is_empty:
         raise ValueError("the one-inclusion graph of the empty class is undefined")
-    groups: dict[tuple[int, Pattern], list[Pattern]] = defaultdict(list)
-    for p in h.patterns:
-        for i in range(h.n):
-            groups[(i, p[:i] + p[i + 1:])].append(p)
-    edges = tuple(Edge(direction=i, fixed=f, members=tuple(sorted(groups[(i, f)])))
-                  for (i, f) in sorted(groups))
+    edges = tuple(Edge(direction=i, fixed=f, members=tuple(sorted(members)))
+                  for (i, f), members in sorted(lines(h.patterns, range(h.n)).items()))
     return OneInclusionGraph(n=h.n, k=h.k, vertices=tuple(sorted(h.patterns)), edges=edges)
 
 
@@ -94,14 +90,10 @@ def shift(h: HypothesisClass, i: int) -> HypothesisClass:
     the labels {0, ..., s-1}.  Size-preserving; labels are 0-based here."""
     if not (0 <= i < h.n):
         raise ValueError(f"direction {i} out of range [0,{h.n})")
-    groups: dict[Pattern, int] = defaultdict(int)
-    for p in h.patterns:
-        groups[p[:i] + p[i + 1:]] += 1
-    shifted = set()
-    for f, s in groups.items():
-        for v in range(s):
-            shifted.add(f[:i] + (v,) + f[i:])
-    return HypothesisClass(h.n, h.k, frozenset(shifted))
+    shifted = frozenset(f[:i] + (v,) + f[i:]
+                        for (_, f), members in lines(h.patterns, (i,)).items()
+                        for v in range(len(members)))
+    return HypothesisClass(h.n, h.k, shifted)
 
 
 def shift_fixed_point(h: HypothesisClass) -> HypothesisClass:
@@ -120,8 +112,10 @@ def shift_fixed_point(h: HypothesisClass) -> HypothesisClass:
             if nxt.patterns != current.patterns:
                 current = nxt
                 changed = True
-    assert is_downward_closed(current), "shift fixed point must be downward closed"
-    assert len(current) == len(h), "shifting must preserve cardinality"
+    if not is_downward_closed(current):
+        raise AssertionError("shift fixed point must be downward closed")
+    if len(current) != len(h):
+        raise AssertionError("shifting must preserve cardinality")
     return current
 
 
@@ -149,11 +143,7 @@ def max_density_bruteforce(h: HypothesisClass, ell: int,
     best = Fraction(0)
     for r in range(1, len(pats) + 1):
         for subset in combinations(pats, r):
-            groups: dict[tuple[int, Pattern], int] = defaultdict(int)
-            for p in subset:
-                for i in range(h.n):
-                    groups[(i, p[:i] + p[i + 1:])] += 1
-            overhang = sum(s - ell for s in groups.values() if s > ell)
+            overhang = sum(max(len(ms) - ell, 0) for ms in lines(subset, range(h.n)).values())
             best = max(best, Fraction(overhang, r))
     return best
 
@@ -300,7 +290,8 @@ def min_max_orientation_indexed(num_vertices: int, edges: list[tuple[int, ...]],
         return routed if value == total else None
 
     best = routed_at(hi)
-    assert best is not None, "max ell-degree budget must admit a saturating flow"
+    if best is None:
+        raise AssertionError("max ell-degree budget must admit a saturating flow")
     while lo < hi:
         mid = (lo + hi) // 2
         routed = routed_at(mid)

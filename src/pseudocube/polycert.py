@@ -11,6 +11,11 @@ Two certificate styles are produced:
   projection recursively, multiply the single-variable correction factor,
   and collect polynomials whose evaluation matrix is unit triangular.
 
+Peeling orders (``peeling_order`` and every level of ``construct_q``) are the
+traces of the one peel engine, ``dims.max_pseudocube_core``, and the witness
+value sets are read from the one line index, ``classes.lines``.  The
+verifier re-scans neighbours on its own, so it shares neither.
+
 All arithmetic is over exact rationals; certificates are bit-reproducible.
 """
 
@@ -22,9 +27,9 @@ from fractions import Fraction
 from typing import Optional
 
 from .classes import (CapExceeded, DEFAULT_ENUMERATION_CAP, HypothesisClass,
-                      Pattern, parse_class_json, serialize_class_json)
+                      Pattern, lines, parse_class_json, serialize_class_json)
 from .bounds import ds_sauer_bound, iter_bounded_high_vectors
-from .dims import ds_dimension
+from .dims import ds_dimension, max_pseudocube_core
 
 ELIMINATION_BIT_CAP = 1_000_000
 
@@ -54,7 +59,8 @@ def monomial_set(n: int, k: int, ell: int, d: int,
     if expected > cap:
         raise CapExceeded(f"monomial set size {expected} exceeds cap {cap}")
     exps = tuple(iter_bounded_high_vectors(n, k, ell, d))
-    assert len(exps) == expected, "monomial count must match the closed form"
+    if len(exps) != expected:
+        raise AssertionError("monomial count must match the closed form")
     return MonomialSet(n=n, k=k, ell=ell, d=d, exponents=exps)
 
 
@@ -238,25 +244,20 @@ class Certificate:
     eval_matrix: Optional[tuple[tuple[Fraction, ...], ...]] = None
 
 
-def _find_deficient(patterns: set[Pattern], n: int, ell: int):
-    """Smallest (pattern, direction) whose line has size <= ell, with the
-    neighbor value set; None if the set is an (ell+1)-pseudo-cube."""
-    lines: dict[tuple[int, Pattern], list[Pattern]] = {}
-    for p in patterns:
-        for i in range(n):
-            lines.setdefault((i, p[:i] + p[i + 1:]), []).append(p)
-    best = None
-    for (i, _), members in lines.items():
-        if len(members) <= ell:
-            for p in members:
-                cand = (p, i)
-                if best is None or cand < best:
-                    best = cand
-    if best is None:
-        return None
-    p, i = best
-    values = tuple(sorted(q[i] for q in lines[(i, p[:i] + p[i + 1:])] if q != p))
-    return p, i, values
+def _peel(h: HypothesisClass, ell: int):
+    """(ordering, witnesses) of the peel of ``h`` to an empty core: at each
+    step, the direction and the values of the line members peeled later."""
+    report = max_pseudocube_core(h, ell + 1)
+    if not report.core.is_empty:
+        raise PeelingError(
+            f"no deficient pattern among {len(report.core)} remaining: the class "
+            f"contains an {ell + 1}-pseudo-cube on all {h.n} coordinates")
+    step = {p: t for t, (p, _) in enumerate(report.peel_trace)}
+    index = lines(h.patterns, range(h.n))
+    witnesses = tuple(
+        (i, tuple(sorted(q[i] for q in index[(i, p[:i] + p[i + 1:])] if step[q] > t)))
+        for t, (p, i) in enumerate(report.peel_trace))
+    return tuple(p for p, _ in report.peel_trace), witnesses
 
 
 def peeling_order(h: HypothesisClass, ell: int, d: int) -> Certificate:
@@ -268,21 +269,9 @@ def peeling_order(h: HypothesisClass, ell: int, d: int) -> Certificate:
         raise ValueError("cannot order the empty class")
     if not (0 <= d < h.n):
         raise ValueError(f"peeling requires 0 <= d < n, got d={d}, n={h.n}")
-    remaining = set(h.patterns)
-    ordering: list[Pattern] = []
-    witnesses: list[tuple[int, tuple[int, ...]]] = []
-    while remaining:
-        found = _find_deficient(remaining, h.n, ell)
-        if found is None:
-            raise PeelingError(
-                f"no deficient pattern among {len(remaining)} remaining: the class "
-                f"contains an {ell + 1}-pseudo-cube on all {h.n} coordinates")
-        p, i, values = found
-        ordering.append(p)
-        witnesses.append((i, values))
-        remaining.remove(p)
+    ordering, witnesses = _peel(h, ell)
     return Certificate(n=h.n, k=h.k, ell=ell, d=d,
-                       ordering=tuple(ordering), witnesses=tuple(witnesses))
+                       ordering=ordering, witnesses=witnesses)
 
 
 def construct_q(h: HypothesisClass, ell: int, d: int) -> Certificate:
@@ -334,24 +323,16 @@ def _construct(h: HypothesisClass, ell: int, d: int, memo: dict):
         result = (ordering, (None,) * len(ordering), polys, rows)
         memo[key] = result
         return result
-    remaining = set(h.patterns)
-    ordering: list[Pattern] = []
-    witnesses: list[tuple[int, tuple[int, ...]]] = []
+    ordering, witnesses = _peel(h, ell)
     polys: list[RationalPolynomial] = []
-    while remaining:
-        found = _find_deficient(remaining, h.n, ell)
-        if found is None:
-            raise PeelingError(
-                f"no deficient pattern among {len(remaining)} remaining: the class "
-                f"contains an {ell + 1}-pseudo-cube on all {h.n} coordinates")
-        p, i, values = found
+    for t, (p, (i, values)) in enumerate(zip(ordering, witnesses)):
         if h.n == 1:
             # the projection off the only coordinate is zero-dimensional, so
             # the off-direction indicator degenerates to the constant 1
             base = RationalPolynomial.from_dict(0, {(): Fraction(1)})
         else:
             proj = HypothesisClass(h.n - 1, h.k,
-                                   frozenset(q[:i] + q[i + 1:] for q in remaining))
+                                   frozenset(q[:i] + q[i + 1:] for q in ordering[t:]))
             sub_order, _, sub_polys, sub_rows = _construct(proj, ell, d, memo)
             target = p[:i] + p[i + 1:]
             base = _indicator_on_class(sub_order, sub_polys, sub_rows, target)
@@ -359,12 +340,9 @@ def _construct(h: HypothesisClass, ell: int, d: int, memo: dict):
             exp[:i] + (0,) + exp[i:]: c for exp, c in base.terms}
         factor = _lagrange_coeffs(p[i], values) if values else [Fraction(1)]
         q_terms = _poly_mul_univariate(lifted, i, factor)
-        ordering.append(p)
-        witnesses.append((i, values))
         polys.append(RationalPolynomial.from_dict(h.n, q_terms))
-        remaining.remove(p)
     rows = [[q.evaluate(p) for q in polys] for p in ordering]
-    result = (tuple(ordering), tuple(witnesses), tuple(polys), rows)
+    result = (ordering, witnesses, tuple(polys), rows)
     memo[key] = result
     return result
 
@@ -420,21 +398,59 @@ def serialize_certificate(cert: Certificate, h: HypothesisClass) -> str:
 
 
 def load_certificate(text: str) -> tuple[Certificate, HypothesisClass]:
+    """Parse a serialized certificate, checking every field before it is used.
+
+    Malformed input (invalid JSON, a missing field, a wrong type, an index or
+    a value out of range, an empty class) raises ValueError.
+    """
     obj = json.loads(text)
+    if not isinstance(obj, dict) or not obj.keys() >= {"class", "ell", "d", "ordering",
+                                                       "witnesses"}:
+        raise ValueError("certificate needs the fields class, ell, d, ordering, witnesses")
     h = parse_class_json(json.dumps(obj["class"]))
+    if h.is_empty:
+        raise ValueError("certificate class is empty")
     pats = h.sorted_patterns()
-    ordering = tuple(pats[i] for i in obj["ordering"])
-    witnesses = tuple(None if w is None else (w["direction"], tuple(w["values"]))
-                      for w in obj["witnesses"])
+    witnesses = tuple(None if w is None else _witness(w, h) for w in _list(obj["witnesses"]))
     q_polys = None
     if "q_polys" in obj:
-        q_polys = tuple(
-            RationalPolynomial.from_dict(
-                h.n, {tuple(exp): Fraction(num, den) for exp, num, den in terms})
-            for terms in obj["q_polys"])
-    cert = Certificate(n=h.n, k=h.k, ell=obj["ell"], d=obj["d"],
-                       ordering=ordering, witnesses=witnesses, q_polys=q_polys)
+        q_polys = []
+        for terms in _list(obj["q_polys"]):
+            coeffs: dict[Pattern, Fraction] = {}
+            for term in _list(terms):
+                if not (isinstance(term, list) and len(term) == 3 and type(term[1]) is int):
+                    raise ValueError(f"term {term!r} is not [exponents, numerator, denominator]")
+                exp = tuple(_int(e, 0, h.k) for e in _list(term[0]))
+                if len(exp) != h.n or exp in coeffs:
+                    raise ValueError(f"exponent vector {exp} has the wrong length or repeats")
+                coeffs[exp] = Fraction(term[1], _int(term[2], 1))
+            q_polys.append(RationalPolynomial.from_dict(h.n, coeffs))
+        q_polys = tuple(q_polys)
+    cert = Certificate(n=h.n, k=h.k, ell=_int(obj["ell"], 1, h.k + 1),
+                       d=_int(obj["d"], 0, h.n + 1),
+                       ordering=tuple(pats[_int(j, 0, len(pats))]
+                                      for j in _list(obj["ordering"])),
+                       witnesses=witnesses, q_polys=q_polys)
     return cert, h
+
+
+def _witness(w, h: HypothesisClass) -> tuple[int, tuple[int, ...]]:
+    if not isinstance(w, dict) or w.keys() != {"direction", "values"}:
+        raise ValueError(f"witness {w!r} is not null or a direction and values")
+    return _int(w["direction"], 0, h.n), tuple(_int(v, 0, h.k) for v in _list(w["values"]))
+
+
+def _int(value, lo: int, hi: Optional[int] = None) -> int:
+    """``value`` if it is an int (not a bool) within [lo, hi), else ValueError."""
+    if type(value) is not int or value < lo or (hi is not None and value >= hi):
+        raise ValueError(f"expected an integer in [{lo},{hi}), got {value!r}")
+    return value
+
+
+def _list(value) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"expected a list, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -446,12 +462,20 @@ class VerifyReport:
 def verify_certificate(cert: Certificate, h: HypothesisClass) -> VerifyReport:
     """Re-check a certificate without re-deriving it.
 
-    Validates the ordering is a permutation of the class, each witnessed step
-    is deficient within its suffix with the recorded value set, and (when
-    polynomials are present) support, per-variable degrees, and exact unit
-    triangularity of the evaluation matrix.
+    Validates that the class size is within ds_sauer_bound(n, k, ell, d), the
+    ordering is a permutation of the class, each witnessed step is deficient
+    within its suffix with the recorded value set, and (when polynomials are
+    present) support, per-variable degrees, and exact unit triangularity of
+    the evaluation matrix.
+
+    Only the polynomials prove the size bound.  A peeling order alone shows
+    only that no (ell+1)-pseudo-cube spans all n coordinates.
     """
     failures: list[str] = []
+    bound = ds_sauer_bound(h.n, h.k, cert.ell, cert.d)
+    if len(h) > bound:
+        failures.append(f"class size {len(h)} exceeds the bound {bound} at "
+                        f"ell={cert.ell}, d={cert.d}")
     if set(cert.ordering) != h.patterns or len(cert.ordering) != len(h):
         failures.append("ordering is not a permutation of the class")
     if len(cert.witnesses) != len(cert.ordering):
@@ -473,10 +497,10 @@ def verify_certificate(cert: Certificate, h: HypothesisClass) -> VerifyReport:
     if cert.q_polys is not None:
         if len(cert.q_polys) != len(cert.ordering):
             failures.append("polynomial count differs from ordering length")
-        allowed = set(monomial_set(cert.n, cert.k, cert.ell, cert.d).exponents)
         for s, q in enumerate(cert.q_polys):
             for exp, _ in q.terms:
-                if exp not in allowed:
+                if (len(exp) != h.n or not all(0 <= e < h.k for e in exp)
+                        or sum(e >= cert.ell for e in exp) > cert.d):
                     failures.append(f"poly {s}: monomial {exp} outside the basis")
                     break
         for t, p in enumerate(cert.ordering):
@@ -487,3 +511,4 @@ def verify_certificate(cert: Certificate, h: HypothesisClass) -> VerifyReport:
                 if t > s and value != 0:
                     failures.append(f"entry ({t},{s}) is {value}, expected 0")
     return VerifyReport(ok=not failures, failures=tuple(failures))
+

@@ -43,6 +43,23 @@ def brute_ds_dimension(h: HypothesisClass, ell: int) -> int:
     return best
 
 
+def sample_realizable(concepts: HypothesisClass, sample) -> bool:
+    """Does some concept match every labeled pair?"""
+    return any(all(c[x] == y for x, y in sample) for c in concepts.patterns)
+
+
+def restriction_class(concepts: HypothesisClass, mu, points) -> HypothesisClass:
+    """The full restriction the one-inclusion predictor reasons about: the
+    distinct patterns of the class on the point sequence whose entries lie in
+    mu's lists.  Prediction itself runs on a reduced form of it."""
+    out = set()
+    for c in concepts.patterns:
+        r = tuple(c[u] for u in points)
+        if all(v in mu(u) for v, u in zip(r, points)):
+            out.add(r)
+    return HypothesisClass(len(points), concepts.k, frozenset(out))
+
+
 def brute_min_max_outdegree(num_vertices: int, edges: list[tuple[int, ...]],
                             ell: int) -> int:
     """Exact minimum over all list orientations of the maximum ell-outdegree,

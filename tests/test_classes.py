@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 from pseudocube import (CapExceeded, ClassFormatError, HypothesisClass,
                         parse_class, parse_class_json, project, random_class,
                         serialize_class, serialize_class_json)
+from pseudocube.classes import lines
 
 
 def make(n, k, pats):
@@ -73,6 +74,14 @@ class TestParsing:
         assert serialize_class_json(parse_class(j)) == j
 
 
+class TestJsonShapes:
+    @pytest.mark.parametrize("text", ['[1, 2]', '7', '{"n": 2, "k": 2, "patterns": 3}',
+                                      '{"n": 2, "k": 2, "patterns": [5]}'])
+    def test_wrong_shapes_are_format_errors(self, text):
+        with pytest.raises(ClassFormatError):
+            parse_class_json(text)
+
+
 class TestProject:
     def test_first_coordinate(self):
         h = make(2, 2, [(0, 0), (0, 1), (1, 0)])
@@ -94,6 +103,21 @@ class TestProject:
             project(h, (0, 2))
         with pytest.raises(ValueError):
             project(h, (1, 0))
+
+
+class TestLines:
+    def test_all_directions_keep_input_order(self):
+        pats = [(1, 0), (0, 0), (0, 1)]
+        assert dict(lines(pats, range(2))) == {
+            (0, (0,)): [(1, 0), (0, 0)], (0, (1,)): [(0, 1)],
+            (1, (1,)): [(1, 0)], (1, (0,)): [(0, 0), (0, 1)]}
+
+    def test_subset_of_directions(self):
+        pats = [(0, 2, 1), (1, 2, 1), (0, 0, 1)]
+        assert dict(lines(pats, (2,))) == {
+            (2, (0, 2)): [(0, 2, 1)], (2, (1, 2)): [(1, 2, 1)], (2, (0, 0)): [(0, 0, 1)]}
+        assert dict(lines(pats, [0])) == {
+            (0, (2, 1)): [(0, 2, 1), (1, 2, 1)], (0, (0, 1)): [(0, 0, 1)]}
 
 
 class TestRandomClass:

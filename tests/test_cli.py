@@ -111,6 +111,52 @@ class TestCert:
         assert code == 1
 
 
+class TestCertVerifyInput:
+    """``cert verify`` on hand-written files: exit 1 only for a certificate
+    that fails verification, exit 2 for anything malformed."""
+
+    # ordering-only certificate for {(0,0), (1,0)} claiming d=0, where the
+    # bound is 1 and the DS dimension is 1: every peeling step is valid
+    D0 = {"class": {"n": 2, "k": 2, "patterns": [[0, 0], [1, 0]]}, "ell": 1, "d": 0,
+          "ordering": [0, 1],
+          "witnesses": [{"direction": 1, "values": []}, {"direction": 0, "values": []}]}
+
+    def verify(self, capsys, tmp_path, obj):
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(obj))
+        code = main(["cert", "verify", "--cert", str(path)])
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_class_above_the_bound_fails(self, capsys, tmp_path):
+        code, out, _ = self.verify(capsys, tmp_path, self.D0)
+        assert code == 1 and "ok=False" in out
+        assert "exceeds the bound 1" in out
+
+    def test_same_order_at_the_dimension_passes(self, capsys, tmp_path):
+        code, out, _ = self.verify(capsys, tmp_path, {**self.D0, "d": 1})
+        assert code == 0 and "ok=True" in out
+
+    MALFORMED = {"index past the class": {**D0, "ordering": [0, 5]},
+                 "negative index": {**D0, "ordering": [-2, -1]},
+                 "missing witnesses": {k: v for k, v in D0.items() if k != "witnesses"}}
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_certificate_is_usage_error(self, capsys, tmp_path, case):
+        code, out, err = self.verify(capsys, tmp_path, self.MALFORMED[case])
+        assert code == 2 and out == ""
+        assert err.startswith("error: ")
+
+    def test_missing_cert_option_is_usage_error(self, capsys):
+        assert main(["cert", "verify"]) == 2
+
+    def test_csv_format_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bound", "ds", "--n", "2", "--k", "3", "--ell", "1", "--d", "1",
+                  "--format", "csv"])
+        assert exc.value.code == 2
+
+
 class TestLearn:
     def test_loo_pass(self, capsys, tmp_path):
         path = tmp_path / "C.cls"

@@ -10,8 +10,9 @@ from pseudocube import (ExperimentConfig, HypothesisClass, ListClass,
                         make_task, orient_minmax, pac_learn, population_error,
                         predict_one_inclusion, uc_experiment,
                         verify_projection_bound)
-from pseudocube.listlearn import (pac_sample_plan, restriction_class,
-                                  sample_realizable, _draw_pairs)
+from pseudocube.listlearn import pac_sample_plan, _draw_pairs
+
+from oracles import restriction_class, sample_realizable
 
 
 def make(n, k, pats):

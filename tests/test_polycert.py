@@ -1,14 +1,17 @@
+import copy
+import json
 from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pseudocube import (HypothesisClass, PeelingError, construct_q, ds_dimension,
                         ds_sauer_bound, extremal_class, indicator_poly,
-                        load_certificate, monomial_set, peeling_order,
-                        serialize_certificate, spanning_certificate,
+                        load_certificate, max_pseudocube_core, monomial_set,
+                        peeling_order, serialize_certificate, spanning_certificate,
                         verify_certificate)
-from pseudocube.polycert import rank_bareiss
+from pseudocube.polycert import VerifyReport, rank_bareiss
 
 from conftest import all_classes, random_corpus
 from oracles import rank_fraction_pivot
@@ -137,6 +140,15 @@ class TestPeelingOrder:
         assert cert.ordering == ((1, 2),)
         assert cert.witnesses[0][1] == ()
 
+    def test_order_is_the_peel_engine_trace(self):
+        for idx, h in enumerate(random_corpus(10, 4, 3, 0.3, seed0=820)):
+            ell = 1 + idx % 2
+            trace = max_pseudocube_core(h, ell + 1).peel_trace
+            if len(trace) == len(h):
+                cert = peeling_order(h, ell, 0)
+                assert cert.ordering == tuple(p for p, _ in trace)
+                assert tuple(w[0] for w in cert.witnesses) == tuple(i for _, i in trace)
+
     def test_per_step_deficiency_reverified(self):
         for idx, h in enumerate(random_corpus(10, 3, 3, 0.4, seed0=800)):
             ell = 1 + idx % 2
@@ -220,6 +232,72 @@ class TestSerialization:
         loaded, h = load_certificate(serialize_certificate(cert, THREE))
         assert loaded.q_polys is None
         assert verify_certificate(loaded, h).ok
+
+
+def _paths(obj, prefix=()):
+    """Every path into a JSON value, the root included."""
+    yield prefix
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield from _paths(value, prefix + (key,))
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 6) | st.integers()
+    | st.floats(allow_nan=False) | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=9), children, max_size=4),
+    max_leaves=8)
+
+BASES = tuple(json.loads(serialize_certificate(cert, h)) for cert, h in (
+    (construct_q(THREE, 1, 1), THREE),
+    (construct_q(extremal_class(2, 3, 2, 1), 2, 1), extremal_class(2, 3, 2, 1)),
+    (peeling_order(extremal_class(3, 3, 2, 1), 2, 1), extremal_class(3, 3, 2, 1))))
+
+
+@st.composite
+def mutated_certificates(draw):
+    """A valid certificate's JSON with 1-3 edits (shift an integer, replace a
+    value, delete a key or element, duplicate an element), its text sometimes
+    cut short."""
+    obj = copy.deepcopy(draw(st.sampled_from(BASES)))
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_paths(obj))))
+        value = draw(JSON_VALUES)
+        if not path:
+            obj = value
+            continue
+        parent = obj
+        for key in path[:-1]:
+            parent = parent[key]
+        action = draw(st.sampled_from(("shift", "replace", "delete", "duplicate")))
+        if action == "shift" and type(parent[path[-1]]) is int:
+            parent[path[-1]] += draw(st.integers(-2, 2))
+        elif action == "replace":
+            parent[path[-1]] = value
+        elif action == "delete":
+            del parent[path[-1]]
+        elif isinstance(parent, list):
+            parent.insert(path[-1], copy.deepcopy(parent[path[-1]]))
+    text = json.dumps(obj)
+    if draw(st.integers(0, 7)) == 0:
+        text = text[:draw(st.integers(0, len(text)))]
+    return text
+
+
+class TestCertificateFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(mutated_certificates())
+    def test_mutation_gives_report_or_value_error(self, text):
+        try:
+            cert, h = load_certificate(text)
+        except ValueError:
+            return
+        assert isinstance(verify_certificate(cert, h), VerifyReport)
+
+    def test_bases_verify(self):
+        for obj in BASES:
+            assert verify_certificate(*load_certificate(json.dumps(obj))).ok
 
 
 class TestExhaustiveSmall:
