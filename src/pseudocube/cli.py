@@ -27,8 +27,9 @@ from .bounds import (BoundViolation, appendix_check, bipartite_peel,
 from .oig import (build_oig, degree_stats, format_orientation, is_downward_closed,
                   max_density_bruteforce, orient_minmax, outdegrees, shift,
                   shift_fixed_point)
-from .polycert import (construct_q, load_certificate, serialize_certificate,
-                       spanning_certificate, verify_certificate)
+from .polycert import (PeelingError, construct_q, load_certificate,
+                       serialize_certificate, spanning_certificate,
+                       verify_certificate)
 from .listlearn import (ExperimentConfig, loo_experiment, make_task,
                         pac_learn, uc_experiment)
 
@@ -186,7 +187,8 @@ def _cmd_cert(args, out) -> int:
     h = _read_class(args.input)
     d = args.d if args.d is not None else ds_dimension(h, args.ell).value
     if args.action == "span":
-        rep = spanning_certificate(h, args.ell, d)
+        # a computed d is the DS dimension already; only a given one is checked
+        rep = spanning_certificate(h, args.ell, d, check_dim=args.d is not None)
         _emit(out, _header(args, "cert"))
         _emit(out, f"rank={rep.rank} class_size={rep.class_size} "
                    f"monomials={rep.monomial_count} spans={rep.spans}")
@@ -485,7 +487,7 @@ def main(argv=None) -> int:
     except BoundViolation as exc:
         print(f"VERIFICATION FAILURE: {exc}", file=sys.stderr)
         return EXIT_VERIFY_FAILED
-    except (ClassFormatError, CapExceeded, OSError, ValueError) as exc:
+    except (ClassFormatError, CapExceeded, OSError, PeelingError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -27,6 +27,11 @@ from .classes import CapExceeded, HypothesisClass, Pattern, lines
 DENSITY_BRUTEFORCE_CAP = 14
 
 
+def _check_ell(ell: int) -> None:
+    if ell < 1:
+        raise ValueError(f"ell must be >= 1, got {ell}")
+
+
 @dataclass(frozen=True)
 class Edge:
     """A hyperedge: the patterns agreeing with ``fixed`` off ``direction``."""
@@ -70,6 +75,7 @@ class DegreeStats:
 
 
 def degree_stats(g: OneInclusionGraph, ell: int) -> DegreeStats:
+    _check_ell(ell)
     degrees = {v: 0 for v in g.vertices}
     big_total = 0
     overhang = 0
@@ -135,6 +141,7 @@ def max_density_bruteforce(h: HypothesisClass, ell: int,
 
     Exponential in |H|; refuses inputs above ``cap``.
     """
+    _check_ell(ell)
     if h.is_empty:
         raise ValueError("maximum density of the empty class is undefined")
     if len(h) > cap:
@@ -318,6 +325,7 @@ def orient_minmax(g: OneInclusionGraph, ell: int) -> tuple[ListOrientation, int]
     size is min(|e|, ell).  The returned integer is the optimum over all
     list orientations.
     """
+    _check_ell(ell)
     index = {v: j for j, v in enumerate(g.vertices)}
     indexed = [tuple(index[v] for v in e.members) for e in g.edges]
     selection, cstar = min_max_orientation_indexed(len(g.vertices), indexed, ell)

@@ -4,8 +4,9 @@ Two certificate styles are produced:
 
 * ``spanning_certificate`` builds the (monomial x pattern) evaluation matrix
   over exact integers and shows the monomial family of bounded high support
-  spans all functions on the class (rank == |H|), via fraction-free
-  elimination.
+  spans all functions on the class (rank == |H|).  The rank is computed mod
+  the prime p = 2^61 - 1 first, which is a lower bound on the rank over Q;
+  fraction-free elimination runs only when the two could differ.
 * ``construct_q`` replays the inductive argument: peel a pattern with a
   deficient direction, interpolate its off-direction indicator on the
   projection recursively, multiply the single-variable correction factor,
@@ -16,14 +17,21 @@ traces of the one peel engine, ``dims.max_pseudocube_core``, and the witness
 value sets are read from the one line index, ``classes.lines``.  The
 verifier re-scans neighbours on its own, so it shares neither.
 
-All arithmetic is over exact rationals; certificates are bit-reproducible.
+Every reported value is exact.  A minor of an integer matrix that is nonzero
+mod p is nonzero over Z, so the rank over GF(p) never exceeds the rank over Q;
+when it reaches min(rows, columns) it is the rational rank.  Polynomials keep
+rational coefficients and evaluate over their common denominator in integer
+arithmetic.  Certificates are bit-reproducible.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from operator import mul
 from typing import Optional
 
 from .classes import (CapExceeded, DEFAULT_ENUMERATION_CAP, HypothesisClass,
@@ -32,6 +40,7 @@ from .bounds import ds_sauer_bound, iter_bounded_high_vectors
 from .dims import ds_dimension, max_pseudocube_core
 
 ELIMINATION_BIT_CAP = 1_000_000
+MODULUS = 2 ** 61 - 1  # a Mersenne prime
 
 
 class PeelingError(RuntimeError):
@@ -80,15 +89,28 @@ class RationalPolynomial:
         kept = tuple(sorted((e, c) for e, c in terms.items() if c != 0))
         return cls(n=n, terms=kept)
 
+    @cached_property
+    def _over_denominator(self) -> tuple[int, tuple[tuple[tuple[tuple[int, int], ...], int], ...]]:
+        """(den, terms): the least common denominator of the coefficients and,
+        per term, its (variable, positive exponent) pairs and the integer
+        numerator of its coefficient over den."""
+        den = math.lcm(*(c.denominator for _, c in self.terms))
+        return den, tuple((tuple((i, e) for i, e in enumerate(exp) if e),
+                           c.numerator * (den // c.denominator))
+                          for exp, c in self.terms)
+
     def evaluate(self, point: Pattern) -> Fraction:
-        total = Fraction(0)
-        for exp, coeff in self.terms:
-            value = 1
-            for x, e in zip(point, exp):
-                if e:
-                    value *= x ** e
-            total += coeff * value
-        return total
+        den, terms = self._over_denominator
+        total = 0
+        for factors, value in terms:
+            for i, e in factors:
+                x = point[i]
+                if not x:
+                    break
+                value *= x ** e
+            else:
+                total += value
+        return Fraction(total, den)
 
     def variable_degrees(self) -> tuple[int, ...]:
         degs = [0] * self.n
@@ -187,12 +209,59 @@ def rank_bareiss(rows: list[list[int]], bit_cap: int = ELIMINATION_BIT_CAP) -> i
     return r
 
 
+def rank_mod_p(rows: list[list[int]]) -> int:
+    """Rank over GF(MODULUS), a lower bound on the rank over Q.
+
+    Keeps the rows read so far as a reduced echelon basis stored by column:
+    ``neg[f][j]`` is minus the entry of basis row j in the free (non-pivot)
+    column f, so reducing a row is one dot product per free column.  Stops
+    reading rows once the rank reaches the column count.
+    """
+    if not rows:
+        return 0
+    pivots: list[int] = []
+    neg: dict[int, list[int]] = {f: [] for f in range(len(rows[0]))}
+    for row in rows:
+        if not neg:
+            break
+        coeffs = [row[c] for c in pivots]
+        reduced = {f: (row[f] + sum(map(mul, coeffs, col))) % MODULUS
+                   for f, col in neg.items()}
+        pivot = next((f for f, v in reduced.items() if v), None)
+        if pivot is None:
+            continue
+        inv = pow(reduced.pop(pivot), -1, MODULUS)
+        # clear the new pivot column from the old basis rows
+        above = [-x % MODULUS for x in neg.pop(pivot)]
+        for f, v in reduced.items():
+            b = v * inv % MODULUS
+            if b:
+                neg[f] = [(x + a * b) % MODULUS for x, a in zip(neg[f], above)]
+            neg[f].append(-b % MODULUS)
+        pivots.append(pivot)
+    return len(pivots)
+
+
+def exact_rank(rows: list[list[int]]) -> int:
+    """Rank over Q of an integer matrix.  The rank mod p is exact when it
+    reaches min(rows, columns); otherwise ``rank_bareiss`` decides."""
+    rank = rank_mod_p(rows)
+    if not rows or rank == min(len(rows), len(rows[0])):
+        return rank
+    return rank_bareiss(rows)
+
+
 def spanning_certificate(h: HypothesisClass, ell: int, d: int,
                          check_dim: bool = True,
                          cap: int = DEFAULT_ENUMERATION_CAP) -> SpanReport:
-    """Rank of the (monomial x pattern) evaluation matrix over the exact
-    integers.  ``spans`` is true iff the rank equals |H|, which is the content
-    of the sharp size bound whenever d is at least the DS dimension of h.
+    """Rank over Q of the (monomial x pattern) integer evaluation matrix.
+    ``spans`` is true iff the rank equals |H|, which is the content of the
+    sharp size bound whenever d is at least the DS dimension of h.
+
+    The rank mod p = 2^61 - 1 is a lower bound on the rational rank, because
+    a minor that is nonzero mod p is nonzero over Z.  It is returned when it
+    equals min(monomials, |H|); only a shortfall runs fraction-free
+    elimination, so the reported rank is exact either way.
     """
     if h.is_empty:
         raise ValueError("cannot certify the empty class")
@@ -203,20 +272,18 @@ def spanning_certificate(h: HypothesisClass, ell: int, d: int,
                              "the certificate would be meaningless")
     mono = monomial_set(h.n, h.k, ell, d, cap=cap)
     pats = h.sorted_patterns()
+    # powers[i][e][j] is the i-th coordinate of pattern j to the e-th power
+    powers = [[[p[i] ** e for p in pats] for e in range(h.k)] for i in range(h.n)]
     rows = []
     for exp in mono.exponents:
-        rows.append([_int_monomial(p, exp) for p in pats])
-    rank = rank_bareiss(rows)
+        row = [1] * len(pats)
+        for i, e in enumerate(exp):
+            if e:
+                row = list(map(mul, row, powers[i][e]))
+        rows.append(row)
+    rank = exact_rank(rows)
     return SpanReport(rank=rank, spans=rank == len(pats),
                       monomial_count=len(mono.exponents), class_size=len(pats))
-
-
-def _int_monomial(point: Pattern, exp: Pattern) -> int:
-    value = 1
-    for x, e in zip(point, exp):
-        if e:
-            value *= x ** e
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +357,7 @@ def construct_q(h: HypothesisClass, ell: int, d: int) -> Certificate:
         raise ValueError(f"need 0 <= d <= n, got d={d}, n={h.n}")
     if not (1 <= ell <= h.k):
         raise ValueError(f"need 1 <= ell <= k, got ell={ell}, k={h.k}")
-    ordering, witnesses, polys, rows = _construct(h, ell, d, {})
+    ordering, witnesses, polys, rows = _construct(h, ell, d, {}, {})
     matrix = tuple(tuple(row) for row in rows)
     for i in range(len(ordering)):
         if matrix[i][i] != 1:
@@ -307,17 +374,21 @@ def construct_q(h: HypothesisClass, ell: int, d: int) -> Certificate:
                        witnesses=witnesses, q_polys=polys, eval_matrix=matrix)
 
 
-def _construct(h: HypothesisClass, ell: int, d: int, memo: dict):
+def _construct(h: HypothesisClass, ell: int, d: int, memo: dict,
+               indicators: dict[Pattern, RationalPolynomial]):
     """Returns (ordering, witnesses, polys, rows) with rows[t][s] the value of
     poly s at pattern t; memoized per class so repeated projections are
-    certified once."""
+    certified once, and the base-case indicators per pattern."""
     key = (h.n, h.k, ell, d, h.patterns)
     hit = memo.get(key)
     if hit is not None:
         return hit
     if h.n <= d:
         ordering = tuple(h.sorted_patterns())
-        polys = tuple(indicator_poly(p, h.k) for p in ordering)
+        for p in ordering:
+            if p not in indicators:
+                indicators[p] = indicator_poly(p, h.k)
+        polys = tuple(indicators[p] for p in ordering)
         rows = [[Fraction(int(t == s)) for s in range(len(ordering))]
                 for t in range(len(ordering))]
         result = (ordering, (None,) * len(ordering), polys, rows)
@@ -333,7 +404,7 @@ def _construct(h: HypothesisClass, ell: int, d: int, memo: dict):
         else:
             proj = HypothesisClass(h.n - 1, h.k,
                                    frozenset(q[:i] + q[i + 1:] for q in ordering[t:]))
-            sub_order, _, sub_polys, sub_rows = _construct(proj, ell, d, memo)
+            sub_order, _, sub_polys, sub_rows = _construct(proj, ell, d, memo, indicators)
             target = p[:i] + p[i + 1:]
             base = _indicator_on_class(sub_order, sub_polys, sub_rows, target)
         lifted: dict[Pattern, Fraction] = {

@@ -1,7 +1,8 @@
 """Independent brute-force oracles.
 
 These deliberately avoid the package's accelerated code paths (peeling,
-flows, fraction-free elimination) so that agreement is meaningful.
+flows, modular and fraction-free elimination, common-denominator
+evaluation) so that agreement is meaningful.
 """
 
 from fractions import Fraction
@@ -115,3 +116,16 @@ def rank_fraction_pivot(rows: list[list[int]]) -> int:
         if rank == nrows:
             break
     return rank
+
+
+def fraction_evaluate(poly, point) -> Fraction:
+    """Value of a ``RationalPolynomial`` at ``point`` as a plain sum of
+    ``Fraction`` terms, with no common denominator."""
+    total = Fraction(0)
+    for exp, coeff in poly.terms:
+        value = 1
+        for x, e in zip(point, exp):
+            if e:
+                value *= x ** e
+        total += coeff * value
+    return total

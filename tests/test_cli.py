@@ -15,6 +15,13 @@ def three(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def three_k3(tmp_path):
+    path = tmp_path / "H3.cls"
+    path.write_text("n=2 k=3\n0 0\n0 1\n1 0\n")
+    return str(path)
+
+
 def run(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
@@ -86,6 +93,14 @@ class TestOig:
         code, out = run(capsys, ["oig", "density", "--input", three, "--ell", "1"])
         assert code == 0 and "max_density=2/3" in out
 
+    @pytest.mark.parametrize("action,ell", [("stats", "0"), ("density", "-1"),
+                                            ("orient", "0")])
+    def test_ell_below_one_is_usage_error(self, capsys, three, action, ell):
+        code = main(["oig", action, "--input", three, "--ell", ell])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "ell must be >= 1" in captured.err
+
 
 class TestCert:
     def test_span(self, capsys, three):
@@ -109,6 +124,21 @@ class TestCert:
         code, out = run(capsys, ["cert", "verify", "--cert", str(cert_path),
                                  "--input", str(other)])
         assert code == 1
+
+
+class TestCertBelowDimension:
+    """A --d below the DS dimension is an input error (exit 2)."""
+
+    def test_replay_is_usage_error(self, capsys, three_k3):
+        code = main(["cert", "replay", "--input", three_k3, "--ell", "1", "--d", "0"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: no deficient pattern")
+
+    def test_span_is_usage_error(self, capsys, three_k3):
+        code = main(["cert", "span", "--input", three_k3, "--ell", "1", "--d", "0"])
+        captured = capsys.readouterr()
+        assert code == 2 and "below the DS dimension 1" in captured.err
 
 
 class TestCertVerifyInput:
@@ -244,6 +274,24 @@ class TestCrossProcessDeterminism:
         c = subprocess.run(argv2, capture_output=True, check=True).stdout
         d = subprocess.run(argv2, capture_output=True, check=True).stdout
         assert c == d
+
+
+class TestModuleEntryPoint:
+    """``python -m pseudocube`` exits with the code ``main`` returns."""
+
+    @pytest.mark.parametrize("argv", [["--help"], ["oig", "stats", "--input", "H"],
+                                      ["cert", "replay", "--input", "H", "--d", "0"]])
+    def test_exit_code_matches_main(self, capsys, three_k3, argv):
+        import subprocess, sys
+        argv = [three_k3 if a == "H" else a for a in argv]
+        try:
+            expected = main(argv)
+        except SystemExit as exc:
+            expected = exc.code
+        capsys.readouterr()
+        proc = subprocess.run([sys.executable, "-m", "pseudocube"] + argv,
+                              capture_output=True)
+        assert proc.returncode == expected
 
 
 class TestErrors:

@@ -6,15 +6,17 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pseudocube import (HypothesisClass, PeelingError, construct_q, ds_dimension,
-                        ds_sauer_bound, extremal_class, indicator_poly,
-                        load_certificate, max_pseudocube_core, monomial_set,
-                        peeling_order, serialize_certificate, spanning_certificate,
-                        verify_certificate)
-from pseudocube.polycert import VerifyReport, rank_bareiss
+from pseudocube import (HypothesisClass, PeelingError, RationalPolynomial,
+                        construct_q, ds_dimension, ds_sauer_bound, extremal_class,
+                        indicator_poly, load_certificate, max_pseudocube_core,
+                        monomial_set, peeling_order, serialize_certificate,
+                        spanning_certificate, verify_certificate)
+from pseudocube import polycert
+from pseudocube.polycert import (MODULUS, VerifyReport, exact_rank, rank_bareiss,
+                                 rank_mod_p)
 
 from conftest import all_classes, random_corpus
-from oracles import rank_fraction_pivot
+from oracles import fraction_evaluate, rank_fraction_pivot
 
 THREE = HypothesisClass.from_patterns(2, 2, [(0, 0), (0, 1), (1, 0)])
 
@@ -65,6 +67,37 @@ class TestIndicatorPoly:
                     assert q.evaluate(x) == (1 if x == h else 0)
 
 
+@st.composite
+def polynomials_and_points(draw):
+    """A polynomial with mixed, often large, numerators and denominators (the
+    term list may be empty) and a point whose coordinates are often zero."""
+    n = draw(st.integers(0, 4))
+    k = draw(st.integers(1, 5))
+    exps = st.tuples(*[st.integers(0, k - 1)] * n)
+    coeffs = st.builds(Fraction, st.integers(-2 ** 130, 2 ** 130)
+                       | st.integers(-3, 3), st.integers(1, 10 ** 12) | st.integers(1, 6))
+    terms = draw(st.dictionaries(exps, coeffs, max_size=8))
+    point = draw(st.tuples(*[st.integers(0, k - 1) | st.just(0)] * n))
+    return RationalPolynomial.from_dict(n, terms), point
+
+
+class TestEvaluate:
+    @settings(max_examples=200, deadline=None)
+    @given(polynomials_and_points())
+    def test_matches_fraction_sum(self, case):
+        poly, point = case
+        assert poly.evaluate(point) == fraction_evaluate(poly, point)
+
+    def test_empty_term_list_is_zero(self):
+        assert RationalPolynomial.from_dict(2, {}).evaluate((0, 1)) == 0
+
+    def test_zero_base_drops_only_terms_with_a_positive_exponent(self):
+        poly = RationalPolynomial.from_dict(2, {(0, 0): Fraction(1, 3), (1, 0): Fraction(5, 2),
+                                               (0, 2): Fraction(-7, 4)})
+        assert poly.evaluate((0, 2)) == Fraction(1, 3) - 7
+        assert poly.evaluate((0, 0)) == Fraction(1, 3)
+
+
 class TestRank:
     def test_rank_of_identity_like(self):
         assert rank_bareiss([[1, 1, 1], [0, 0, 1], [0, 1, 0]]) == 3
@@ -85,6 +118,38 @@ class TestRank:
             for _ in range(rng.randint(0, 5)):
                 rows.append([rng.randint(-4, 4) for _ in range(cols)])
             assert rank_bareiss(rows) == rank_fraction_pivot(rows)
+
+
+INT_MATRICES = st.integers(1, 6).flatmap(lambda cols: st.lists(
+    st.lists(st.integers(-4, 4) | st.integers(-2 ** 70, 2 ** 70)
+             | st.sampled_from((MODULUS, -MODULUS, 2 * MODULUS)),
+             min_size=cols, max_size=cols), max_size=7))
+
+
+class TestExactRank:
+    @settings(max_examples=200, deadline=None)
+    @given(INT_MATRICES, st.data())
+    def test_matches_bareiss_and_fraction_pivoting(self, rows, data):
+        if len(rows) >= 2 and data.draw(st.booleans()):
+            # a dependent row: an integer combination of the first two
+            a, b = data.draw(st.integers(-5, 5)), data.draw(st.integers(-5, 5))
+            rows = rows + [[a * x + b * y for x, y in zip(rows[0], rows[1])]]
+        rank = exact_rank(rows)
+        assert rank == rank_bareiss(rows) == rank_fraction_pivot(rows)
+        assert rank_mod_p(rows) <= rank
+
+    def test_multiple_of_the_modulus_forces_the_fallback(self):
+        rows = [[MODULUS, 0], [0, 1]]
+        assert rank_mod_p(rows) == 1
+        assert exact_rank(rows) == 2 == rank_fraction_pivot(rows)
+
+    def test_empty(self):
+        assert exact_rank([]) == 0 == rank_mod_p([])
+        assert exact_rank([[0, 0]]) == 0
+
+
+def _no_bareiss(rows, bit_cap=None):
+    raise AssertionError("rank_bareiss ran on a full-rank matrix")
 
 
 class TestSpanningCertificate:
@@ -113,6 +178,26 @@ class TestSpanningCertificate:
             d = ds_dimension(h, ell).value
             rep = spanning_certificate(h, ell, d, check_dim=False)
             assert rep.spans
+
+    def test_full_rank_never_runs_bareiss(self, monkeypatch):
+        monkeypatch.setattr(polycert, "rank_bareiss", _no_bareiss)
+        for idx, h in enumerate(random_corpus(20, 4, 3, 0.3, seed0=740, max_size=30)):
+            ell = 1 + idx % 2
+            assert spanning_certificate(h, ell, ds_dimension(h, ell).value).spans
+
+    def test_rank_deficient_gets_the_bareiss_rank(self, monkeypatch):
+        # {0,1}^2 inside k = 3 has DS dimension 2 at ell = 1.  At d = 1 the
+        # rows 1, x, x^2, y, y^2 satisfy x^2 = x and y^2 = y on it: rank 3 < 4
+        seen = []
+
+        def spy(rows, bit_cap=polycert.ELIMINATION_BIT_CAP):
+            seen.append(rank_bareiss(rows, bit_cap))
+            return seen[-1]
+
+        monkeypatch.setattr(polycert, "rank_bareiss", spy)
+        h = make(2, 3, [(a, b) for a in range(2) for b in range(2)])
+        rep = spanning_certificate(h, 1, 1, check_dim=False)
+        assert seen == [3] and rep.rank == 3 and not rep.spans
 
     def test_spans_at_full_grid_scale(self):
         corpus = (random_corpus(20, 4, 4, 0.15, seed0=720, max_size=40)
