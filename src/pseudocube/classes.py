@@ -213,18 +213,21 @@ def parse_class(text: str | bytes) -> HypothesisClass:
 
 
 def parse_class_json(text: str | bytes) -> HypothesisClass:
-    """Parse the structured form: {"n": ..., "k": ..., "patterns": [[...], ...]}."""
+    """Parse the structured form: {"n": ..., "k": ..., "patterns": [[...], ...]}.
+    Integers are JSON numbers; ``true`` and ``false`` are rejected."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ClassFormatError(exc.lineno, f"invalid JSON: {exc.msg}") from None
+    except RecursionError:
+        raise ClassFormatError(1, "invalid JSON: nested too deeply") from None
     if not isinstance(obj, dict):
         raise ClassFormatError(1, "expected a JSON object")
     for field in ("n", "k", "patterns"):
         if field not in obj:
             raise ClassFormatError(1, f"missing field {field!r}")
     n, k = obj["n"], obj["k"]
-    if not isinstance(n, int) or not isinstance(k, int) or n < 1 or k < 2:
+    if type(n) is not int or type(k) is not int or n < 1 or k < 2:
         raise ClassFormatError(1, f"need integer n >= 1 and k >= 2, got n={n!r} k={k!r}")
     rows = obj["patterns"]
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
@@ -235,7 +238,7 @@ def parse_class_json(text: str | bytes) -> HypothesisClass:
         if len(t) != n:
             raise ClassFormatError(1, f"pattern {t} has length {len(t)}, expected {n}")
         for v in t:
-            if not isinstance(v, int) or not (0 <= v < k):
+            if type(v) is not int or not (0 <= v < k):
                 raise ClassFormatError(1, f"label {v!r} out of range [0,{k})")
         if t in patterns:
             raise ClassFormatError(1, f"duplicate pattern {t}")

@@ -212,7 +212,7 @@ def _cmd_cert(args, out) -> int:
 def _cmd_learn(args, out) -> int:
     h = _read_class(args.input)
     weights = [float(w) for w in args.weights.split(",")] if args.weights else None
-    task = make_task(h, args.target_index, weights=weights, seed=args.seed)
+    task = make_task(h, args.target_index, weights=weights)
     cfg = ExperimentConfig(epsilon=args.epsilon, delta=args.delta, m=args.m,
                            trials=args.trials, seed=args.seed, ell=args.ell)
     if args.action == "loo":
@@ -397,7 +397,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("kind", choices=("ds", "nat", "exp", "graph"))
     common(p)
     p.add_argument("--cap", type=int, default=2 ** 22,
-                   help="search budget for the graph dimension")
+                   help="graph dimension: pivot-search budget for each coordinate "
+                        "set (reset per set, not a total)")
     p.set_defaults(func=_cmd_dim)
 
     p = sub.add_parser("bound", help="evaluate a closed-form size bound")

@@ -280,7 +280,11 @@ def graph_shattered(c: ListClass, coords: Coords, budget: int = GRAPH_DIM_BUDGET
 
 def graph_dimension(c: ListClass, budget: int = GRAPH_DIM_BUDGET) -> DimensionResult:
     """Largest coordinate set admitting a pivot whose membership sign patterns
-    are fully shattered (all 2^d realized by members of ``c``)."""
+    are fully shattered (all 2^d realized by members of ``c``).
+
+    ``budget`` caps the pivot search of each coordinate set: every call to
+    ``graph_shattered`` starts from the full budget, so the total work of the
+    search is not bounded by it."""
     if not c.members:
         raise ValueError("dimension of the empty class is undefined")
     for d in range(_search_bound(len(c), 2, c.n), 0, -1):

@@ -17,6 +17,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import product
 from typing import Optional, Sequence
 
@@ -27,6 +28,10 @@ from .oig import min_max_orientation_indexed
 LabeledPair = tuple[int, int]
 
 PROJECTION_ENUM_CAP = 2 ** 22
+
+# the amplified learner's chunk and validation constants (see pac_sample_plan)
+CHUNK_FACTOR = 160
+VAL_FACTOR = 32
 
 
 class RealizabilityError(ValueError):
@@ -64,7 +69,6 @@ class ConceptTask:
     concepts: HypothesisClass
     target: Pattern
     probs: tuple[Fraction, ...]
-    seed: int = 0
 
     @property
     def n(self) -> int:
@@ -84,11 +88,12 @@ class ConceptTask:
 
 
 def make_task(concepts: HypothesisClass, target_index: int,
-              weights: Optional[Sequence] = None, seed: int = 0) -> ConceptTask:
+              weights: Optional[Sequence] = None) -> ConceptTask:
     """Build a task whose distribution places weight w_x on (x, target(x)).
 
     ``target_index`` selects the target from the canonical pattern order.
-    Weights default to uniform; they must be nonnegative and not all zero.
+    Weights default to uniform; they must be finite, nonnegative and not all
+    zero.
     """
     pats = concepts.sorted_patterns()
     if not (0 <= target_index < len(pats)):
@@ -96,7 +101,10 @@ def make_task(concepts: HypothesisClass, target_index: int,
     target = pats[target_index]
     if weights is None:
         weights = [1] * concepts.n
-    weights = [Fraction(w) for w in weights]
+    try:
+        weights = [Fraction(w) for w in weights]
+    except (OverflowError, ValueError):  # inf and nan, respectively
+        raise ValueError(f"weights must be finite numbers, got {list(weights)}") from None
     if len(weights) != concepts.n:
         raise ValueError(f"need {concepts.n} weights, got {len(weights)}")
     if any(w < 0 for w in weights):
@@ -105,7 +113,7 @@ def make_task(concepts: HypothesisClass, target_index: int,
     if total == 0:
         raise ValueError("weights must not all be zero")
     return ConceptTask(concepts=concepts, target=target,
-                       probs=tuple(w / total for w in weights), seed=seed)
+                       probs=tuple(w / total for w in weights))
 
 
 @dataclass(frozen=True)
@@ -114,7 +122,6 @@ class ListPredictor:
 
     ell: int
     lists: tuple[frozenset[int], ...]
-    provenance: str
 
     def __post_init__(self):
         for s in self.lists:
@@ -124,25 +131,18 @@ class ListPredictor:
     def __call__(self, x: int) -> frozenset[int]:
         return self.lists[x]
 
-    @property
-    def max_list_size(self) -> int:
-        return max((len(s) for s in self.lists), default=0)
-
 
 def list_provider(kind: str, task: ConceptTask,
-                  sample: Optional[Sequence[LabeledPair]] = None,
-                  user_lists: Optional[Sequence] = None,
-                  ell: Optional[int] = None) -> ListPredictor:
+                  sample: Optional[Sequence[LabeledPair]] = None) -> ListPredictor:
     """Produce the wide first-stage list the one-inclusion learner narrows.
 
-    Kinds: ``full-alphabet`` (every label everywhere, always realizable),
-    ``sample-support`` (labels observed at each instance in ``sample``), or
-    ``user-supplied`` (validated against ``ell``).
+    Kinds: ``full-alphabet`` (every label everywhere, always realizable, so
+    ``ell`` is k) or ``sample-support`` (the labels observed at each instance
+    in ``sample``, so ``ell`` is the largest list size, at least 1).
     """
     n, k = task.n, task.k
     if kind == "full-alphabet":
-        full = frozenset(range(k))
-        return ListPredictor(ell=k, lists=(full,) * n, provenance="full-alphabet")
+        return ListPredictor(ell=k, lists=(frozenset(range(k)),) * n)
     if kind == "sample-support":
         if sample is None:
             raise ValueError("sample-support provider needs a sample")
@@ -150,15 +150,7 @@ def list_provider(kind: str, task: ConceptTask,
         for x, y in sample:
             seen[x].add(y)
         lists = tuple(frozenset(seen[x]) for x in range(n))
-        size = max((len(s) for s in lists), default=1)
-        return ListPredictor(ell=max(size, 1), lists=lists, provenance="sample-support")
-    if kind == "user-supplied":
-        if user_lists is None or ell is None:
-            raise ValueError("user-supplied provider needs lists and ell")
-        lists = tuple(frozenset(s) for s in user_lists)
-        if len(lists) != n:
-            raise ValueError(f"need {n} lists, got {len(lists)}")
-        return ListPredictor(ell=ell, lists=lists, provenance="user-supplied")
+        return ListPredictor(ell=max([1, *map(len, lists)]), lists=lists)
     raise ValueError(f"unknown provider kind {kind!r}")
 
 
@@ -261,8 +253,6 @@ class ExperimentConfig:
     trials: int = 1000
     seed: int = 0
     ell: int = 1
-    chunk_factor: int = 160
-    val_factor: int = 32
     test_size: int = 1000
 
     def __post_init__(self):
@@ -287,31 +277,21 @@ class LooReport:
     trials: int
     m: int
     ell: int
-    failures: int
     per_trial: Optional[tuple[bool, ...]] = None
 
 
-def _loo_trials(task: ConceptTask, cfg: ExperimentConfig, provider_kind: str,
-                start: int, stop: int, keep: bool) -> tuple[int, list[bool]]:
-    """Trials [start, stop); each one has its own counter-derived stream, so
-    partitioning across workers cannot change any outcome."""
-    mu = None
-    if provider_kind != "sample-support":
-        mu = list_provider(provider_kind, task)
-    failures = 0
-    outcomes: list[bool] = []
-    for t in range(start, stop):
-        rng = random.Random(_trial_seed(cfg.seed, t))
-        pairs = _draw_pairs(task, cfg.m + 1, rng)
-        train, (x, y) = pairs[:cfg.m], pairs[cfg.m]
-        current = (list_provider("sample-support", task, sample=train)
-                   if provider_kind == "sample-support" else mu)
-        predicted = predict_one_inclusion(task.concepts, current, train, x, cfg.ell)
-        miss = y not in predicted
-        failures += miss
-        if keep:
-            outcomes.append(miss)
-    return failures, outcomes
+def _loo_trial(task: ConceptTask, cfg: ExperimentConfig, mu: Optional[ListPredictor],
+               t: int) -> bool:
+    """Whether trial t misses.  The trial draws from its own counter-derived
+    stream, so how trials are spread across workers cannot change it.  ``mu``
+    is the fixed provider list, or None for the support of the trial's own
+    training sample."""
+    rng = random.Random(_trial_seed(cfg.seed, t))
+    pairs = _draw_pairs(task, cfg.m + 1, rng)
+    train, (x, y) = pairs[:cfg.m], pairs[cfg.m]
+    if mu is None:
+        mu = list_provider("sample-support", task, train)
+    return y not in predict_one_inclusion(task.concepts, mu, train, x, cfg.ell)
 
 
 def loo_experiment(task: ConceptTask, cfg: ExperimentConfig,
@@ -319,31 +299,23 @@ def loo_experiment(task: ConceptTask, cfg: ExperimentConfig,
                    keep_trials: bool = False, jobs: int = 1) -> LooReport:
     """Repeatedly draw m+1 points, train on the first m, and test whether the
     held-out label lands in the predicted list.  ``jobs`` fans trials out
-    across processes; the aggregate is identical for any fan-out."""
-    if provider_kind == "sample-support":
-        ell_prime = task.k  # per-trial support lists never exceed the alphabet
-    else:
-        ell_prime = max(list_provider(provider_kind, task).max_list_size, 1)
+    across processes; the aggregate is identical for any fan-out.  Both
+    providers' lists are at most k wide, so ell' is k."""
+    mu = None if provider_kind == "sample-support" else list_provider(provider_kind, task)
     d_used = ds_dimension(task.concepts, cfg.ell).value
-    bound = 40.0 * cfg.ell * d_used * _llog(ell_prime) / cfg.m
+    bound = 40.0 * cfg.ell * d_used * _llog(task.k) / cfg.m
+    trial = partial(_loo_trial, task, cfg, mu)
     if jobs > 1:
         import multiprocessing
-        step = -(-cfg.trials // jobs)
-        ranges = [(a, min(a + step, cfg.trials)) for a in range(0, cfg.trials, step)]
         with multiprocessing.Pool(jobs) as pool:
-            parts = pool.starmap(
-                _loo_trials,
-                [(task, cfg, provider_kind, a, b, keep_trials) for a, b in ranges])
-        failures = sum(f for f, _ in parts)
-        outcomes = [o for _, outs in parts for o in outs]
+            misses = pool.map(trial, range(cfg.trials))
     else:
-        failures, outcomes = _loo_trials(task, cfg, provider_kind, 0, cfg.trials,
-                                         keep_trials)
-    return LooReport(empirical_error=Fraction(failures, cfg.trials), bound=bound,
-                     d_used=d_used, ell_prime_used=ell_prime,
+        misses = list(map(trial, range(cfg.trials)))
+    return LooReport(empirical_error=Fraction(sum(misses), cfg.trials), bound=bound,
+                     d_used=d_used, ell_prime_used=task.k,
                      ell_prime_theory=theoretical_ell_prime(cfg.ell, d_used, cfg.m),
-                     trials=cfg.trials, m=cfg.m, ell=cfg.ell, failures=failures,
-                     per_trial=tuple(outcomes) if keep_trials else None)
+                     trials=cfg.trials, m=cfg.m, ell=cfg.ell,
+                     per_trial=tuple(misses) if keep_trials else None)
 
 
 def pac_sample_plan(task: ConceptTask, cfg: ExperimentConfig,
@@ -353,9 +325,9 @@ def pac_sample_plan(task: ConceptTask, cfg: ExperimentConfig,
     each, and a validation split of 32*log(2/delta)/eps + log(p+1)."""
     d = ds_dimension(task.concepts, cfg.ell).value
     p = max(math.ceil(math.log(2.0 / cfg.delta)), 1)
-    chunk = max(math.ceil(cfg.chunk_factor * cfg.ell * max(d, 1) * _llog(ell_prime)
+    chunk = max(math.ceil(CHUNK_FACTOR * cfg.ell * max(d, 1) * _llog(ell_prime)
                           / cfg.epsilon), 1)
-    val = math.ceil(cfg.val_factor * math.log(2.0 / cfg.delta) / cfg.epsilon
+    val = math.ceil(VAL_FACTOR * math.log(2.0 / cfg.delta) / cfg.epsilon
                     + math.log(p + 1))
     return p, chunk, val
 
@@ -385,10 +357,9 @@ def pac_learn(task: ConceptTask, cfg: ExperimentConfig,
     """
     rng = random.Random(_trial_seed(cfg.seed, 0))
     sample = _draw_pairs(task, cfg.m, rng)
-    mu = (list_provider(provider_kind, task, sample=sample)
-          if provider_kind == "sample-support" else list_provider(provider_kind, task))
+    mu = list_provider(provider_kind, task, sample)
     filtered = [(x, y) for x, y in sample if y in mu(x)]
-    p, chunk, val = pac_sample_plan(task, cfg, max(mu.max_list_size, 1))
+    p, chunk, val = pac_sample_plan(task, cfg, mu.ell)
     needed = p * chunk + val
     if len(filtered) < needed:
         raise ValueError(f"sample too small to partition: have {len(filtered)} "
@@ -399,7 +370,7 @@ def pac_learn(task: ConceptTask, cfg: ExperimentConfig,
         part = filtered[i * chunk:(i + 1) * chunk]
         lists = tuple(predict_one_inclusion(task.concepts, mu, part, x, cfg.ell)
                       for x in range(task.n))
-        candidates.append(ListPredictor(ell=cfg.ell, lists=lists, provenance=f"chunk-{i}"))
+        candidates.append(ListPredictor(ell=cfg.ell, lists=lists))
     val_set = filtered[p * chunk:]
     val_errors = tuple(
         Fraction(sum(y not in cand(x) for x, y in val_set), len(val_set))
@@ -483,9 +454,7 @@ def uc_experiment(c: ListClass, task: ConceptTask, cfg: ExperimentConfig) -> UcR
     if c.n != task.n:
         raise ValueError(f"list class is over {c.n} instances, task over {task.n}")
     members = c.sorted_members()
-    pop = [float(sum((p for x, p in enumerate(task.probs) if task.target[x] not in mem[x]),
-                     Fraction(0)))
-           for mem in members]
+    pop = [float(population_error(task, ListPredictor(c.ell, mem))) for mem in members]
     total = 0.0
     for t in range(cfg.trials):
         rng = random.Random(_trial_seed(cfg.seed, t))

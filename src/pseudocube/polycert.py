@@ -474,7 +474,10 @@ def load_certificate(text: str) -> tuple[Certificate, HypothesisClass]:
     Malformed input (invalid JSON, a missing field, a wrong type, an index or
     a value out of range, an empty class) raises ValueError.
     """
-    obj = json.loads(text)
+    try:
+        obj = json.loads(text)
+    except RecursionError:
+        raise ValueError("invalid certificate JSON: nested too deeply") from None
     if not isinstance(obj, dict) or not obj.keys() >= {"class", "ell", "d", "ordering",
                                                        "witnesses"}:
         raise ValueError("certificate needs the fields class, ell, d, ordering, witnesses")

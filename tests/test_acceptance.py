@@ -189,7 +189,7 @@ def test_09_loo_bound():
     trials = 10 ** 4
     for d in (1, 2):
         for ell in (1, 2):
-            task = pc.make_task(pc.extremal_class(6, 3, ell, d), 0, seed=1)
+            task = pc.make_task(pc.extremal_class(6, 3, ell, d), 0)
             for m in (20, 50, 100):
                 cfg = ExperimentConfig(m=m, trials=trials, seed=90000 + d * 100
                                        + ell * 10 + m, ell=ell)
@@ -204,7 +204,7 @@ def test_09_loo_bound():
 def test_10_pac_end_to_end():
     """Statistical: the epsilon=0.2, delta=0.1 reference task reaches held-out
     error <= epsilon in at least 85% of 200 macro-trials."""
-    task = pc.make_task(pc.extremal_class(3, 3, 1, 1), 3, seed=0)
+    task = pc.make_task(pc.extremal_class(3, 3, 1, 1), 3)
     base = ExperimentConfig(epsilon=0.2, delta=0.1, ell=1)
     p, chunk, val = pac_sample_plan(task, base, ell_prime=3)
     need = p * chunk + val

@@ -81,6 +81,17 @@ class TestJsonShapes:
         with pytest.raises(ClassFormatError):
             parse_class_json(text)
 
+    @pytest.mark.parametrize("text", ['{"n": true, "k": 2, "patterns": [[0]]}',
+                                      '{"n": 1, "k": 2, "patterns": [[true], [false]]}',
+                                      '{"n": 1, "k": 2, "patterns": [[false]]}'])
+    def test_booleans_are_not_integers(self, text):
+        with pytest.raises(ClassFormatError):
+            parse_class_json(text)
+
+    def test_deep_nesting_is_a_format_error(self):
+        with pytest.raises(ClassFormatError, match="nested too deeply"):
+            parse_class_json("[" * 200_000)
+
 
 class TestProject:
     def test_first_coordinate(self):

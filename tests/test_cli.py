@@ -180,6 +180,20 @@ class TestCertVerifyInput:
     def test_missing_cert_option_is_usage_error(self, capsys):
         assert main(["cert", "verify"]) == 2
 
+    def test_deeply_nested_json_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "cert.json"
+        path.write_text("[" * 200_000)
+        code = main(["cert", "verify", "--cert", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "nested too deeply" in captured.err
+
+    def test_boolean_label_in_embedded_class_is_usage_error(self, capsys, tmp_path):
+        cls = {"n": 2, "k": 2, "patterns": [[0, 0], [True, 0]]}
+        code, out, err = self.verify(capsys, tmp_path, {**self.D0, "d": 1, "class": cls})
+        assert code == 2 and out == ""
+        assert "label True out of range" in err
+
     def test_csv_format_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["bound", "ds", "--n", "2", "--k", "3", "--ell", "1", "--d", "1",
@@ -197,6 +211,17 @@ class TestLearn:
                                  "--seed", "5"])
         assert code == 0
         assert "empirical_error,bound,pass" in out.splitlines()[1]
+
+    @pytest.mark.parametrize("weights", ["1,inf,1", "1,-inf,1", "1,nan,1"])
+    def test_non_finite_weight_is_usage_error(self, capsys, tmp_path, weights):
+        path = tmp_path / "C.cls"
+        from pseudocube import extremal_class, serialize_class
+        path.write_text(serialize_class(extremal_class(3, 3, 1, 1)))
+        code = main(["learn", "loo", "--input", str(path), "--weights", weights,
+                     "--trials", "5"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "weights must be finite" in captured.err
 
     def test_identical_invocations_byte_identical(self, capsys, tmp_path):
         path = tmp_path / "C.cls"
@@ -307,3 +332,19 @@ class TestErrors:
         bad = tmp_path / "bad.cls"
         bad.write_text("n=2 k=3\n0 9\n")
         assert main(["dim", "ds", "--input", str(bad)]) == 2
+
+    def test_deeply_nested_json_class_is_usage_error(self, capsys, tmp_path):
+        bad = tmp_path / "deep.cls"
+        bad.write_text('{"n":' + "[" * 200_000)
+        code = main(["dim", "ds", "--input", str(bad)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "nested too deeply" in captured.err
+
+    def test_boolean_json_class_is_usage_error(self, capsys, tmp_path):
+        bad = tmp_path / "bool.cls"
+        bad.write_text('{"n":true,"k":2,"patterns":[[true],[false]]}')
+        code = main(["oig", "shift", "--input", str(bad)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "need integer n >= 1" in captured.err

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from pseudocube import (ExperimentConfig, HypothesisClass, ListClass,
-                        RealizabilityError, build_oig, extremal_class,
+                        ListPredictor, RealizabilityError, build_oig, extremal_class,
                         graph_dimension, list_provider, loo_experiment,
                         make_task, orient_minmax, pac_learn, population_error,
                         predict_one_inclusion, uc_experiment,
@@ -33,8 +33,7 @@ class TestMakeTask:
         full = list_provider("full-alphabet", task)
         assert population_error(task, full) == 0
         target_lists = tuple(frozenset({task.target[x]}) for x in range(task.n))
-        from pseudocube import ListPredictor
-        assert population_error(task, ListPredictor(1, target_lists, "target")) == 0
+        assert population_error(task, ListPredictor(1, target_lists)) == 0
 
     def test_bad_inputs(self):
         c = extremal_class(3, 3, 1, 1)
@@ -45,13 +44,18 @@ class TestMakeTask:
         with pytest.raises(ValueError):
             make_task(c, 0, weights=[1, -1, 1])
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_weight_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            make_task(extremal_class(3, 3, 1, 1), 0, weights=[1, bad, 1])
+
 
 class TestListProvider:
     def test_full_alphabet(self):
         task = make_task(extremal_class(3, 3, 1, 1), 0)
         mu = list_provider("full-alphabet", task)
         assert mu.lists == (frozenset({0, 1, 2}),) * 3
-        assert mu.max_list_size == 3
+        assert mu.ell == 3
 
     def test_sample_support(self):
         task = make_task(extremal_class(3, 3, 1, 1), 0)
@@ -59,14 +63,14 @@ class TestListProvider:
         assert mu(0) == {0, 2} and mu(1) == {1} and mu(2) == frozenset()
 
     def test_full_alphabet_filter_is_identity(self):
-        task = make_task(extremal_class(3, 3, 1, 2), 3, seed=9)
+        task = make_task(extremal_class(3, 3, 1, 2), 3)
         mu = list_provider("full-alphabet", task)
         rng = random.Random(1)
         sample = _draw_pairs(task, 30, rng)
         assert [(x, y) for x, y in sample if y in mu(x)] == sample
 
     def test_filtered_sample_stays_realizable(self):
-        task = make_task(extremal_class(4, 3, 1, 1), 2, seed=3)
+        task = make_task(extremal_class(4, 3, 1, 1), 2)
         rng = random.Random(5)
         sample = _draw_pairs(task, 25, rng)
         mu = list_provider("sample-support", task, sample=sample[:10])
@@ -74,10 +78,8 @@ class TestListProvider:
         assert sample_realizable(task.concepts, filtered)
 
     def test_user_supplied_validated(self):
-        task = make_task(extremal_class(3, 3, 1, 1), 0)
         with pytest.raises(ValueError):
-            list_provider("user-supplied", task,
-                          user_lists=[{0, 1, 2}, {0}, {1}], ell=2)
+            ListPredictor(2, (frozenset({0, 1, 2}), frozenset({0}), frozenset({1})))
 
 
 class TestPredictOneInclusion:
@@ -124,7 +126,7 @@ class TestPredictOneInclusion:
     def test_empty_mu_intersection_raises(self):
         concepts = make(2, 3, [(0, 0), (1, 1)])
         task = make_task(concepts, 0)
-        mu = list_provider("user-supplied", task, user_lists=[{2}, {2}], ell=1)
+        mu = ListPredictor(1, (frozenset({2}), frozenset({2})))
         with pytest.raises(RealizabilityError):
             predict_one_inclusion(concepts, mu, [], 0, 1)
 
@@ -159,7 +161,7 @@ class TestPredictOneInclusion:
 
     def test_sample_support_provider_path(self):
         concepts = extremal_class(3, 3, 1, 1)
-        task = make_task(concepts, 1, seed=2)
+        task = make_task(concepts, 1)
         sample = [(0, task.target[0]), (1, task.target[1]), (2, task.target[2])]
         mu = list_provider("sample-support", task, sample=sample)
         out = predict_one_inclusion(concepts, mu, sample, 1, 1)
@@ -182,7 +184,7 @@ class TestLooExperiment:
         assert rep.empirical_error == 0
 
     def test_empirical_below_bound_small_grid(self):
-        task = make_task(extremal_class(6, 3, 1, 1), 0, seed=1)
+        task = make_task(extremal_class(6, 3, 1, 1), 0)
         cfg = ExperimentConfig(m=50, trials=400, seed=7, ell=1)
         rep = loo_experiment(task, cfg)
         assert float(rep.empirical_error) <= rep.bound
@@ -195,7 +197,7 @@ class TestLooExperiment:
         assert a.empirical_error == b.empirical_error
 
     def test_error_trend_nonincreasing_in_m(self):
-        task = make_task(extremal_class(6, 3, 1, 1), 0, seed=1)
+        task = make_task(extremal_class(6, 3, 1, 1), 0)
         errs = []
         for m in (10, 40, 160):
             cfg = ExperimentConfig(m=m, trials=600, seed=13, ell=1)
@@ -203,7 +205,7 @@ class TestLooExperiment:
         assert errs[0] >= errs[2]
 
     def test_parallel_trials_match_sequential(self):
-        task = make_task(extremal_class(6, 3, 1, 1), 0, seed=1)
+        task = make_task(extremal_class(6, 3, 1, 1), 0)
         cfg = ExperimentConfig(m=20, trials=300, seed=31, ell=1)
         seq = loo_experiment(task, cfg, keep_trials=True)
         par = loo_experiment(task, cfg, keep_trials=True, jobs=3)
@@ -248,7 +250,7 @@ class TestPacLearn:
         assert rep.test_error == 0 and rep.population_error == 0
 
     def test_selection_minimizes_validation_error(self):
-        task = make_task(extremal_class(3, 3, 1, 1), 2, seed=6)
+        task = make_task(extremal_class(3, 3, 1, 1), 2)
         cfg0 = ExperimentConfig(epsilon=0.25, delta=0.2, ell=1)
         p, chunk, val = pac_sample_plan(task, cfg0, 3)
         cfg = ExperimentConfig(epsilon=0.25, delta=0.2, m=p * chunk + val + 20,
@@ -258,7 +260,7 @@ class TestPacLearn:
         assert rep.test_error <= cfg.epsilon
 
     def test_deterministic_under_seed(self):
-        task = make_task(extremal_class(3, 3, 1, 1), 1, seed=5)
+        task = make_task(extremal_class(3, 3, 1, 1), 1)
         cfg0 = ExperimentConfig(epsilon=0.3, delta=0.2, ell=1)
         p, chunk, val = pac_sample_plan(task, cfg0, 3)
         cfg = ExperimentConfig(epsilon=0.3, delta=0.2, m=p * chunk + val + 5,
@@ -327,7 +329,7 @@ class TestUcExperiment:
 
     def test_sqrt_scaling_sanity(self):
         concepts = extremal_class(3, 3, 1, 1)
-        task = make_task(concepts, 0, seed=2)
+        task = make_task(concepts, 0)
         c = ListClass.from_hypothesis_class(concepts)
         dev_m = uc_experiment(c, task, ExperimentConfig(m=64, trials=300, seed=8))
         dev_4m = uc_experiment(c, task, ExperimentConfig(m=256, trials=300, seed=8))
