@@ -77,6 +77,8 @@ def _cmd_dim(args, out) -> int:
         res = natarajan_dimension(h, args.ell)
     elif args.kind == "exp":
         res = exponential_dimension(h, args.ell)
+    elif args.ell < 1:
+        raise ValueError(f"ell must be >= 1, got {args.ell}")
     else:
         res = graph_dimension(ListClass.from_hypothesis_class(h), budget=args.cap)
     witness = ",".join(str(i) for i in res.witness)
@@ -435,8 +437,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int)
     p.add_argument("--cert", help="certificate file (verify)")
     p.add_argument("--output", help="certificate file to write (replay)")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=_cmd_cert)
+    # no --format: cert prints text only; the header still records it
+    p.set_defaults(func=_cmd_cert, format="text")
 
     p = sub.add_parser("learn", help="list-learning experiments")
     p.add_argument("action", choices=("loo", "pac", "uc"))

@@ -13,6 +13,13 @@ Conventions used throughout:
 * For ell >= k no projection can offer ell+1 distinct values per line, so
   the DS and Natarajan dimensions degenerate to 0; a warning is emitted.
 
+All four dimensions run one downward subset search, ``_search``, with the
+shattering test of their kind; the first hit, largest size first and then
+lexicographic, is the witness.  A level-wise (Apriori) order gave the same
+witnesses and sped up sparse classes, but it more than doubled the DS search
+time on dense random classes, whose DS dimension is near n (70 classes at
+n=5-8, k=3-4 on a 2-core VM: 6.2 s -> 14.0 s).
+
 Lines come from the one line index, ``classes.lines``.  ``max_pseudocube_core``
 is the one peel engine: the peeling orders of the certificates in
 ``polycert`` are its traces.
@@ -105,20 +112,39 @@ def max_pseudocube_core(p: HypothesisClass, m: int) -> PseudoCubeReport:
                             peel_trace=tuple(trace))
 
 
-def _search_bound(size: int, base: int, n: int) -> int:
-    """Largest d <= n with base^d <= size (a shattered set of size d forces
-    at least base^d distinct projected patterns)."""
-    d = 0
-    power = 1
-    while d < n and power * base <= size:
-        power *= base
-        d += 1
-    return d
+def _preconditions(h, ell: int, degenerate: str | None = None) -> bool:
+    """Reject an empty class and ell < 1; with ``degenerate`` given and
+    ell >= k, warn and return True (the dimension is 0 by convention)."""
+    if not len(h):
+        raise ValueError("dimension of the empty class is undefined")
+    if ell < 1:
+        raise ValueError(f"ell must be >= 1, got {ell}")
+    if degenerate is None or ell < h.k:
+        return False
+    warnings.warn(f"ell={ell} >= k={h.k}: {degenerate}dimension is 0 by convention")
+    return True
 
 
-def ds_shattered(h: HypothesisClass, coords: Coords, ell: int) -> bool:
-    """Does the projection onto ``coords`` contain an (ell+1)-pseudo-cube?"""
-    return not max_pseudocube_core(project(h, coords), ell + 1).core.is_empty
+def _search(n: int, size: int, base: int, shattered,
+            zero: DimensionResult = DimensionResult(0, ())) -> DimensionResult:
+    """Sizes d from the largest with base^d <= size (a shattered d-set forces
+    base^d distinct projected patterns) down to 1, each in ``combinations``
+    order; the first set that ``shattered`` maps to a structure, not None,
+    is the witness, so ties go to the lexicographically smallest set."""
+    top = max(d for d in range(n + 1) if base ** d <= size)
+    for d in range(top, 0, -1):
+        for coords in combinations(range(n), d):
+            found = shattered(coords)
+            if found is not None:
+                return DimensionResult(d, coords, found)
+    return zero
+
+
+def ds_shattered(h: HypothesisClass, coords: Coords, ell: int):
+    """The maximal (ell+1)-pseudo-cube inside the projection onto ``coords``,
+    or None when the projection contains no (ell+1)-pseudo-cube."""
+    core = max_pseudocube_core(project(h, coords), ell + 1).core
+    return None if core.is_empty else core
 
 
 def ds_dimension(h: HypothesisClass, ell: int) -> DimensionResult:
@@ -127,20 +153,9 @@ def ds_dimension(h: HypothesisClass, ell: int) -> DimensionResult:
     Searches subset sizes downward from min(n, log_{ell+1}|H|); ties among
     witnesses break toward the lexicographically smallest coordinate set.
     """
-    if h.is_empty:
-        raise ValueError("dimension of the empty class is undefined")
-    if ell < 1:
-        raise ValueError(f"ell must be >= 1, got {ell}")
-    if ell >= h.k:
-        warnings.warn(f"ell={ell} >= k={h.k}: no line can hold {ell + 1} distinct "
-                      "values, dimension is 0 by convention")
+    if _preconditions(h, ell, f"no line can hold {ell + 1} distinct values, "):
         return DimensionResult(0, ())
-    for d in range(_search_bound(len(h), ell + 1, h.n), 0, -1):
-        for coords in combinations(range(h.n), d):
-            report = max_pseudocube_core(project(h, coords), ell + 1)
-            if not report.core.is_empty:
-                return DimensionResult(d, coords, report.core)
-    return DimensionResult(0, ())
+    return _search(h.n, len(h), ell + 1, lambda coords: ds_shattered(h, coords, ell))
 
 
 def _cube_factors(by_value: dict[int, set[Pattern]], d: int, ell1: int):
@@ -173,19 +188,10 @@ def natarajan_shattered(h: HypothesisClass, coords: Coords, ell: int):
 
 def natarajan_dimension(h: HypothesisClass, ell: int) -> DimensionResult:
     """Largest coordinate set whose projection contains an (ell+1)-cube."""
-    if h.is_empty:
-        raise ValueError("dimension of the empty class is undefined")
-    if ell < 1:
-        raise ValueError(f"ell must be >= 1, got {ell}")
-    if ell >= h.k:
-        warnings.warn(f"ell={ell} >= k={h.k}: dimension is 0 by convention")
+    if _preconditions(h, ell, ""):
         return DimensionResult(0, ())
-    for d in range(_search_bound(len(h), ell + 1, h.n), 0, -1):
-        for coords in combinations(range(h.n), d):
-            factors = natarajan_shattered(h, coords, ell)
-            if factors is not None:
-                return DimensionResult(d, coords, factors)
-    return DimensionResult(0, ())
+    return _search(h.n, len(h), ell + 1,
+                   lambda coords: natarajan_shattered(h, coords, ell))
 
 
 def exponential_dimension(h: HypothesisClass, ell: int) -> DimensionResult:
@@ -194,17 +200,13 @@ def exponential_dimension(h: HypothesisClass, ell: int) -> DimensionResult:
     Coordinate subsets only: repeating a coordinate never increases the
     projection count, so subsets witness the same maximum at desk scale.
     """
-    if h.is_empty:
-        raise ValueError("dimension of the empty class is undefined")
-    if ell < 1:
-        raise ValueError(f"ell must be >= 1, got {ell}")
-    for d in range(_search_bound(len(h), ell + 1, h.n), 0, -1):
-        need = (ell + 1) ** d
-        for coords in combinations(range(h.n), d):
-            count = len(project(h, coords).patterns)
-            if count >= need:
-                return DimensionResult(d, coords, count)
-    return DimensionResult(0, (), 1)
+    _preconditions(h, ell)
+
+    def count(coords):
+        found = len(project(h, coords).patterns)
+        return found if found >= (ell + 1) ** len(coords) else None
+
+    return _search(h.n, len(h), ell + 1, count, DimensionResult(0, (), 1))
 
 
 # ---------------------------------------------------------------------------
@@ -285,11 +287,5 @@ def graph_dimension(c: ListClass, budget: int = GRAPH_DIM_BUDGET) -> DimensionRe
     ``budget`` caps the pivot search of each coordinate set: every call to
     ``graph_shattered`` starts from the full budget, so the total work of the
     search is not bounded by it."""
-    if not c.members:
-        raise ValueError("dimension of the empty class is undefined")
-    for d in range(_search_bound(len(c), 2, c.n), 0, -1):
-        for coords in combinations(range(c.n), d):
-            found = graph_shattered(c, coords, budget)
-            if found is not None:
-                return DimensionResult(d, coords, found)
-    return DimensionResult(0, ())
+    _preconditions(c, c.ell)
+    return _search(c.n, len(c), 2, lambda coords: graph_shattered(c, coords, budget))

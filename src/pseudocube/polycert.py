@@ -252,8 +252,7 @@ def exact_rank(rows: list[list[int]]) -> int:
 
 
 def spanning_certificate(h: HypothesisClass, ell: int, d: int,
-                         check_dim: bool = True,
-                         cap: int = DEFAULT_ENUMERATION_CAP) -> SpanReport:
+                         check_dim: bool = True) -> SpanReport:
     """Rank over Q of the (monomial x pattern) integer evaluation matrix.
     ``spans`` is true iff the rank equals |H|, which is the content of the
     sharp size bound whenever d is at least the DS dimension of h.
@@ -270,7 +269,7 @@ def spanning_certificate(h: HypothesisClass, ell: int, d: int,
         if d < true_d:
             raise ValueError(f"d={d} is below the DS dimension {true_d}; "
                              "the certificate would be meaningless")
-    mono = monomial_set(h.n, h.k, ell, d, cap=cap)
+    mono = monomial_set(h.n, h.k, ell, d)
     pats = h.sorted_patterns()
     # powers[i][e][j] is the i-th coordinate of pattern j to the e-th power
     powers = [[[p[i] ** e for p in pats] for e in range(h.k)] for i in range(h.n)]

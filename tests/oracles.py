@@ -44,6 +44,19 @@ def brute_ds_dimension(h: HypothesisClass, ell: int) -> int:
     return best
 
 
+def first_shattered(n: int, shattered, zero=None):
+    """(size, coords, structure) of the first nonempty coordinate set, by size
+    descending and then lexicographically, that ``shattered`` maps to a
+    structure other than None; (0, (), zero) when there is none.  Every
+    subset is walked, with no bound on its size from the class size."""
+    subsets = [tuple(i for i in range(n) if mask >> i & 1) for mask in range(1, 2 ** n)]
+    for coords in sorted(subsets, key=lambda s: (-len(s), s)):
+        found = shattered(coords)
+        if found is not None:
+            return len(coords), coords, found
+    return 0, (), zero
+
+
 def sample_realizable(concepts: HypothesisClass, sample) -> bool:
     """Does some concept match every labeled pair?"""
     return any(all(c[x] == y for x, y in sample) for c in concepts.patterns)

@@ -28,11 +28,22 @@ def run(capsys, argv):
     return code, out
 
 
+def assert_ell_usage_error(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "ell must be >= 1" in captured.err
+
+
 class TestDim:
     def test_ds(self, capsys, three):
         code, out = run(capsys, ["dim", "ds", "--ell", "1", "--input", three])
         assert code == 0
         assert "value=1" in out and "witness=[0]" in out
+
+    @pytest.mark.parametrize("kind", ["ds", "nat", "exp", "graph"])
+    def test_ell_below_one_is_usage_error(self, capsys, three, kind):
+        assert_ell_usage_error(capsys, ["dim", kind, "--input", three, "--ell", "0"])
 
     def test_json_embeds_version_and_config(self, capsys, three):
         code, out = run(capsys, ["dim", "nat", "--ell", "1", "--input", three,
@@ -96,10 +107,7 @@ class TestOig:
     @pytest.mark.parametrize("action,ell", [("stats", "0"), ("density", "-1"),
                                             ("orient", "0")])
     def test_ell_below_one_is_usage_error(self, capsys, three, action, ell):
-        code = main(["oig", action, "--input", three, "--ell", ell])
-        captured = capsys.readouterr()
-        assert code == 2 and captured.out == ""
-        assert "ell must be >= 1" in captured.err
+        assert_ell_usage_error(capsys, ["oig", action, "--input", three, "--ell", ell])
 
 
 class TestCert:

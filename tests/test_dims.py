@@ -7,7 +7,7 @@ from pseudocube import (CapExceeded, HypothesisClass, ListClass, ds_dimension,
 from pseudocube.dims import graph_shattered
 
 from conftest import all_classes, random_corpus
-from oracles import brute_ds_dimension, brute_max_pseudocube
+from oracles import brute_ds_dimension, brute_max_pseudocube, first_shattered
 
 PAPER_CYCLE = HypothesisClass.from_patterns(
     2, 7, [(1, 2), (3, 2), (3, 4), (5, 4), (5, 6), (1, 6)])
@@ -265,3 +265,35 @@ class TestGraphDimension:
         c = ListClass.from_hypothesis_class(h)
         with pytest.raises(CapExceeded):
             graph_dimension(c, budget=10)
+
+
+class TestTieBreak:
+    """Each dimension returns the first shattered set of a walk over every
+    subset, largest first and then lexicographic, with the same structure."""
+
+    @staticmethod
+    def exponential_shattered(h, ell):
+        def count(coords):
+            found = len(project(h, coords).patterns)
+            return found if found >= (ell + 1) ** len(coords) else None
+        return count
+
+    def test_first_set_of_a_brute_walk(self):
+        corpus = (list(all_classes(2, 3))
+                  + random_corpus(15, 3, 3, 0.5, seed0=6100)
+                  + random_corpus(10, 4, 3, 0.5, seed0=6200)
+                  + random_corpus(10, 4, 3, 0.2, seed0=6300)
+                  + random_corpus(10, 4, 2, 0.4, seed0=6400))
+        for h in corpus:
+            c = ListClass.from_hypothesis_class(h)
+            cases = [(graph_dimension(c), lambda s: graph_shattered(c, s), None)]
+            for ell in range(1, h.k):
+                cases += [
+                    (ds_dimension(h, ell), lambda s, ell=ell: ds_shattered(h, s, ell), None),
+                    (natarajan_dimension(h, ell),
+                     lambda s, ell=ell: natarajan_shattered(h, s, ell), None),
+                    (exponential_dimension(h, ell), self.exponential_shattered(h, ell), 1),
+                ]
+            for res, shattered, zero in cases:
+                expected = first_shattered(h.n, shattered, zero)
+                assert (res.value, res.witness, res.witness_structure) == expected, h
