@@ -14,6 +14,7 @@ import json
 import math
 import multiprocessing
 import sys
+from fractions import Fraction
 
 from . import __version__
 from .classes import (CapExceeded, ClassFormatError, DEFAULT_ENUMERATION_CAP,
@@ -36,6 +37,11 @@ from .listlearn import (ExperimentConfig, loo_experiment, make_task,
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
+
+# (command, action) pairs that print text only, although their subcommand
+# takes --format
+_TEXT_ONLY = {("oig", "shift"), ("oig", "fixpoint"), ("oig", "density"),
+             ("oig", "orient"), ("learn", "uc")}
 
 
 def _resolved(args) -> dict:
@@ -225,7 +231,9 @@ def _cmd_learn(args, out) -> int:
             result = {"empirical_error": str(rep.empirical_error),
                       "bound": rep.bound, "d": rep.d_used,
                       "ell_prime": rep.ell_prime_used,
-                      "ell_prime_theory": rep.ell_prime_theory, "pass": ok}
+                      "ell_prime_theory": rep.ell_prime_theory,
+                      "forced_share": str(Fraction(rep.forced_trials, rep.trials)),
+                      "pass": ok}
             if args.verbose:
                 result["per_trial"] = [int(x) for x in rep.per_trial]
             _emit(out, _json_report(args, "learn", result))
@@ -485,6 +493,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if (args.command, getattr(args, "action", None)) in _TEXT_ONLY and args.format == "json":
+        parser.error(f"{args.command} {args.action} prints text only; "
+                     "--format json is not supported")
     try:
         return args.func(args, sys.stdout)
     except BoundViolation as exc:

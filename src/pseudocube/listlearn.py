@@ -18,7 +18,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import product
+from itertools import compress, product
 from typing import Optional, Sequence
 
 from .classes import CapExceeded, HypothesisClass, Pattern, lines
@@ -138,7 +138,9 @@ def list_provider(kind: str, task: ConceptTask,
 
     Kinds: ``full-alphabet`` (every label everywhere, always realizable, so
     ``ell`` is k) or ``sample-support`` (the labels observed at each instance
-    in ``sample``, so ``ell`` is the largest list size, at least 1).
+    in ``sample`` and, at an instance the sample missed, the labels that the
+    sample-consistent patterns take there; ``ell`` is the largest list size,
+    at least 1).
     """
     n, k = task.n, task.k
     if kind == "full-alphabet":
@@ -146,10 +148,7 @@ def list_provider(kind: str, task: ConceptTask,
     if kind == "sample-support":
         if sample is None:
             raise ValueError("sample-support provider needs a sample")
-        seen: dict[int, set[int]] = {x: set() for x in range(n)}
-        for x, y in sample:
-            seen[x].add(y)
-        lists = tuple(frozenset(seen[x]) for x in range(n))
+        lists = _sample_support(_class_index(task.concepts), sample)
         return ListPredictor(ell=max([1, *map(len, lists)]), lists=lists)
     raise ValueError(f"unknown provider kind {kind!r}")
 
@@ -170,6 +169,60 @@ def _draw_pairs(task: ConceptTask, m: int, rng: random.Random) -> list[LabeledPa
 # One-inclusion list prediction
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class _ClassIndex:
+    """A class laid out once for many predictions, in one fixed pattern order:
+    bit i of ``masks[u][y]`` is set when pattern i has label y at instance u,
+    ``full`` sets the bit of every pattern, and ``columns[u]`` holds the
+    patterns' labels at u."""
+
+    k: int
+    full: int
+    masks: tuple[tuple[int, ...], ...]
+    columns: tuple[tuple[int, ...], ...]
+
+    def label_mask(self, u: int, y: int) -> int:
+        """The patterns with label y at u; none when y lies outside [0, k)."""
+        return self.masks[u][y] if 0 <= y < self.k else 0
+
+    def allowed(self, lists: Sequence[frozenset[int]]) -> tuple[int, ...]:
+        """Per instance u, the patterns whose label at u lies in ``lists[u]``."""
+        out = []
+        for u, labels in enumerate(lists):
+            mask = 0
+            for y in labels:
+                mask |= self.label_mask(u, y)
+            out.append(mask)
+        return tuple(out)
+
+
+def _class_index(concepts: HypothesisClass) -> _ClassIndex:
+    pats = concepts.sorted_patterns()
+    columns = tuple(tuple(p[u] for p in pats) for u in range(concepts.n))
+    # each mask is parsed from a bit string, in time linear in the class size
+    masks = tuple(tuple(int("0" + "".join("1" if v == y else "0" for v in reversed(col)), 2)
+                        for y in range(concepts.k))
+                  for col in columns)
+    return _ClassIndex(concepts.k, (1 << len(pats)) - 1, masks, columns)
+
+
+def _sample_support(index: _ClassIndex,
+                    sample: Sequence[LabeledPair]) -> tuple[frozenset[int], ...]:
+    """The sample-support lists: the labels seen at each sampled instance and,
+    elsewhere, the labels of the sample-consistent patterns (the target's
+    among them, so a realizable sample keeps every list at most k wide and
+    consistent with the target)."""
+    n = len(index.columns)
+    seen: dict[int, set[int]] = {x: set() for x in range(n)}
+    consistent = index.full
+    for x, y in sample:
+        seen[x].add(y)
+        consistent &= index.label_mask(x, y)
+    return tuple(frozenset(seen[u]) if seen[u] else
+                 frozenset(y for y, mask in enumerate(index.masks[u]) if mask & consistent)
+                 for u in range(n))
+
+
 def predict_one_inclusion(concepts: HypothesisClass, mu: ListPredictor,
                           sample: Sequence[LabeledPair], x: int,
                           ell: int) -> frozenset[int]:
@@ -181,64 +234,77 @@ def predict_one_inclusion(concepts: HypothesisClass, mu: ListPredictor,
     the values the chosen orientation assigns to the edge consistent with
     the sample labels.
 
-    Internally patterns are stored per distinct instance (restrictions to a
-    point sequence are determined by their values on the distinct points),
-    which keeps the cost linear in the sample length: directions of repeated
-    instances contribute only singleton edges, so the orientation problem is
-    decided entirely by the directions of once-sampled instances.
+    The realizability checks run on bitmasks of the class's patterns, and
+    then one of two paths gives the answer.  Forced: when x was itself
+    sampled, the answer is its sampled label, and no restricted pattern is
+    built.  Oriented: otherwise, if the label-consistent patterns take at
+    most ell values at x, that edge has at most ell vertices, every
+    orientation selects them all, and those values are the answer.  Else the
+    orientation is computed.  The restricted patterns are then stored per
+    distinct instance (restrictions to a point sequence are determined by
+    their values on the distinct points), which keeps the cost linear in the
+    sample length: directions of repeated instances contribute only
+    singleton edges, so the orientation problem is decided entirely by the
+    directions of once-sampled instances.
+
+    The checks raise ``RealizabilityError`` when no pattern lies in the
+    lists, when an instance carries two labels, or when no such pattern
+    matches the sample labels, in that order.  Labels outside [0, k) in the
+    lists or the sample are taken by no pattern.
     """
-    verts, edges, star, star_edge, xs = _reduced_problem(concepts, mu, sample, x)
-    if star_edge is None:
-        # the test instance was sampled: its value is forced by the labels
-        return frozenset(v[xs] for v in star)
-    selection, _ = min_max_orientation_indexed(len(verts), edges, ell)
-    return frozenset(verts[j][xs] for j in selection[star_edge])
+    index = _class_index(concepts)
+    return _predict(index, index.allowed(mu.lists), sample, x, ell)
 
 
-def _reduced_problem(concepts: HypothesisClass, mu: ListPredictor,
-                     sample: Sequence[LabeledPair], x: int):
-    """Vertices (reduced patterns over the distinct instances), orientable
-    edges, the label-consistent patterns, the index of their edge in the test
-    direction (None when the test instance was itself sampled, which forces
-    the prediction), and the test slot."""
-    seq = [x_i for x_i, _ in sample] + [x]
-    distinct = sorted(set(seq))
-    slot = {u: t for t, u in enumerate(distinct)}
-    mult = Counter(seq)
-    allowed = [mu(u) for u in distinct]
-    reduced: set[Pattern] = set()
-    for c in concepts.patterns:
-        r = tuple(c[u] for u in distinct)
-        if all(v in a for v, a in zip(r, allowed)):
-            reduced.add(r)
-    if not reduced:
-        raise RealizabilityError("no pattern is consistent with the class and the list")
+def _predict(index: _ClassIndex, allowed: Sequence[int],
+             sample: Sequence[LabeledPair], x: int, ell: int) -> frozenset[int]:
+    """``predict_one_inclusion`` on an index, with ``allowed`` from
+    ``index.allowed`` of the provider lists."""
     required: dict[int, int] = {}
+    conflict: Optional[int] = None
     for x_i, y_i in sample:
-        prior = required.setdefault(x_i, y_i)
-        if prior != y_i:
-            raise RealizabilityError(f"contradictory labels for instance {x_i}")
-    verts = sorted(reduced)
-    star = [v for v in verts
-            if all(v[slot[u]] == y for u, y in required.items())]
-    if not star:
+        if required.setdefault(x_i, y_i) != y_i and conflict is None:
+            conflict = x_i
+    listed = allowed[x]
+    for u in required:
+        listed &= allowed[u]
+    if not listed:
+        raise RealizabilityError("no pattern is consistent with the class and the list")
+    if conflict is not None:
+        raise RealizabilityError(f"contradictory labels for instance {conflict}")
+    labeled = listed
+    for u, y in required.items():
+        labeled &= index.label_mask(u, y)
+    if not labeled:
         raise RealizabilityError("no pattern is consistent with the sample labels")
-    xs = slot[x]
-    if mult[x] >= 2:
-        return verts, [], star, None, xs
-    index = {v: j for j, v in enumerate(verts)}
+    if x in required:
+        return frozenset((required[x],))
+    # the label-consistent edge takes these values; an edge of at most ell
+    # vertices selects all of them in every orientation
+    free = frozenset(y for y, mask in enumerate(index.masks[x]) if mask & labeled)
+    if len(free) <= ell:
+        return free
+    distinct = sorted([*required, x])
+    xs = distinct.index(x)
+    rows = zip(*(index.columns[u] for u in distinct))
+    if listed != index.full:
+        rows = compress(rows, map(int, reversed(f"{listed:0{index.full.bit_length()}b}")))
+    verts = sorted(set(rows))
+    vertex = {v: j for j, v in enumerate(verts)}
     # repeated instances are left out: every edge in their direction is a singleton
-    once = [slot[u] for u in distinct if mult[u] == 1]
-    star_key = (xs, star[0][:xs] + star[0][xs + 1:])
+    mult = Counter(x_i for x_i, _ in sample)
+    once = [t for t, u in enumerate(distinct) if mult[u] <= 1]
+    star_key = (xs, tuple(required[u] for u in distinct if u != x))
     edges: list[tuple[int, ...]] = []
     star_edge: Optional[int] = None
     for key, members in sorted(lines(verts, once).items()):
         if key == star_key:
             star_edge = len(edges)
-        edges.append(tuple(index[v] for v in members))
+        edges.append(tuple(vertex[v] for v in members))
     if star_edge is None:
         raise AssertionError("the test direction must hold the label-consistent edge")
-    return verts, edges, star, star_edge, xs
+    selection, _ = min_max_orientation_indexed(len(verts), edges, ell)
+    return frozenset(verts[j][xs] for j in selection[star_edge])
 
 
 # ---------------------------------------------------------------------------
@@ -277,21 +343,26 @@ class LooReport:
     trials: int
     m: int
     ell: int
+    forced_trials: int
     per_trial: Optional[tuple[bool, ...]] = None
 
 
-def _loo_trial(task: ConceptTask, cfg: ExperimentConfig, mu: Optional[ListPredictor],
-               t: int) -> bool:
-    """Whether trial t misses.  The trial draws from its own counter-derived
-    stream, so how trials are spread across workers cannot change it.  ``mu``
-    is the fixed provider list, or None for the support of the trial's own
-    training sample."""
+def _loo_trial(task: ConceptTask, cfg: ExperimentConfig, cum: Sequence[float],
+               index: _ClassIndex, allowed: Optional[tuple[int, ...]],
+               t: int) -> tuple[bool, bool]:
+    """(whether trial t misses, whether its test instance was sampled, which
+    forces the prediction).  The trial draws from its own counter-derived
+    stream, so how trials are spread across workers cannot change it.
+    ``cum`` is ``task.cum_weights()`` and ``index`` the class's index;
+    ``allowed`` holds the index masks of the fixed provider lists, or is None
+    for the sample-support lists of the trial's own training sample."""
     rng = random.Random(_trial_seed(cfg.seed, t))
-    pairs = _draw_pairs(task, cfg.m + 1, rng)
-    train, (x, y) = pairs[:cfg.m], pairs[cfg.m]
-    if mu is None:
-        mu = list_provider("sample-support", task, train)
-    return y not in predict_one_inclusion(task.concepts, mu, train, x, cfg.ell)
+    xs = rng.choices(range(task.n), cum_weights=cum, k=cfg.m + 1)
+    x = xs.pop()
+    train = [(u, task.target[u]) for u in xs]
+    if allowed is None:
+        allowed = index.allowed(_sample_support(index, train))
+    return task.target[x] not in _predict(index, allowed, train, x, cfg.ell), x in xs
 
 
 def loo_experiment(task: ConceptTask, cfg: ExperimentConfig,
@@ -300,22 +371,28 @@ def loo_experiment(task: ConceptTask, cfg: ExperimentConfig,
     """Repeatedly draw m+1 points, train on the first m, and test whether the
     held-out label lands in the predicted list.  ``jobs`` fans trials out
     across processes; the aggregate is identical for any fan-out.  Both
-    providers' lists are at most k wide, so ell' is k."""
-    mu = None if provider_kind == "sample-support" else list_provider(provider_kind, task)
+    providers' lists are at most k wide, so ell' is k.  The class index, the
+    fixed provider's masks and the cumulative weights are built once, before
+    the trials."""
+    index = _class_index(task.concepts)
+    allowed = (None if provider_kind == "sample-support"
+               else index.allowed(list_provider(provider_kind, task).lists))
     d_used = ds_dimension(task.concepts, cfg.ell).value
     bound = 40.0 * cfg.ell * d_used * _llog(task.k) / cfg.m
-    trial = partial(_loo_trial, task, cfg, mu)
+    trial = partial(_loo_trial, task, cfg, task.cum_weights(), index, allowed)
     if jobs > 1:
         import multiprocessing
         with multiprocessing.Pool(jobs) as pool:
-            misses = pool.map(trial, range(cfg.trials))
+            outcomes = pool.map(trial, range(cfg.trials))
     else:
-        misses = list(map(trial, range(cfg.trials)))
+        outcomes = list(map(trial, range(cfg.trials)))
+    misses = tuple(miss for miss, _ in outcomes)
     return LooReport(empirical_error=Fraction(sum(misses), cfg.trials), bound=bound,
                      d_used=d_used, ell_prime_used=task.k,
                      ell_prime_theory=theoretical_ell_prime(cfg.ell, d_used, cfg.m),
                      trials=cfg.trials, m=cfg.m, ell=cfg.ell,
-                     per_trial=tuple(misses) if keep_trials else None)
+                     forced_trials=sum(forced for _, forced in outcomes),
+                     per_trial=misses if keep_trials else None)
 
 
 def pac_sample_plan(task: ConceptTask, cfg: ExperimentConfig,
@@ -365,11 +442,12 @@ def pac_learn(task: ConceptTask, cfg: ExperimentConfig,
         raise ValueError(f"sample too small to partition: have {len(filtered)} "
                          f"filtered points, need {needed} ({p} chunks of {chunk} "
                          f"plus {val} validation)")
+    index = _class_index(task.concepts)
+    allowed = index.allowed(mu.lists)
     candidates: list[ListPredictor] = []
     for i in range(p):
         part = filtered[i * chunk:(i + 1) * chunk]
-        lists = tuple(predict_one_inclusion(task.concepts, mu, part, x, cfg.ell)
-                      for x in range(task.n))
+        lists = tuple(_predict(index, allowed, part, x, cfg.ell) for x in range(task.n))
         candidates.append(ListPredictor(ell=cfg.ell, lists=lists))
     val_set = filtered[p * chunk:]
     val_errors = tuple(

@@ -2,13 +2,20 @@
 
 These deliberately avoid the package's accelerated code paths (peeling,
 flows, modular and fraction-free elimination, common-denominator
-evaluation) so that agreement is meaningful.
+evaluation) so that agreement is meaningful.  The slow one-inclusion
+predictor is the exception: it keeps the path that rebuilds the restricted
+patterns on every call, which the bitmask index of ``listlearn`` replaced,
+and shares the flow orientation with it, so it checks everything in front of
+the flow.
 """
 
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
-from pseudocube import HypothesisClass, is_pseudocube
+from pseudocube import HypothesisClass, RealizabilityError, is_pseudocube
+from pseudocube.classes import lines
+from pseudocube.oig import min_max_orientation_indexed
 
 
 def brute_max_pseudocube(p: HypothesisClass, m: int) -> frozenset:
@@ -72,6 +79,74 @@ def restriction_class(concepts: HypothesisClass, mu, points) -> HypothesisClass:
         if all(v in mu(u) for v, u in zip(r, points)):
             out.add(r)
     return HypothesisClass(len(points), concepts.k, frozenset(out))
+
+
+def slow_predict_one_inclusion(concepts: HypothesisClass, mu, sample, x: int,
+                               ell: int) -> frozenset:
+    """The one-inclusion list prediction rebuilt from the patterns on every
+    call: the slow path that the bitmask index of ``listlearn`` replaced."""
+    verts, edges, star, star_edge, xs = slow_reduced_problem(concepts, mu, sample, x)
+    if star_edge is None:
+        # the test instance was sampled: its value is forced by the labels
+        return frozenset(v[xs] for v in star)
+    selection, _ = min_max_orientation_indexed(len(verts), edges, ell)
+    return frozenset(verts[j][xs] for j in selection[star_edge])
+
+
+def slow_reduced_problem(concepts: HypothesisClass, mu, sample, x: int):
+    """Vertices (reduced patterns over the distinct instances), orientable
+    edges, the label-consistent patterns, the index of their edge in the test
+    direction (None when the test instance was itself sampled, which forces
+    the prediction), and the test slot."""
+    seq = [x_i for x_i, _ in sample] + [x]
+    distinct = sorted(set(seq))
+    slot = {u: t for t, u in enumerate(distinct)}
+    mult = Counter(seq)
+    allowed = [mu(u) for u in distinct]
+    reduced = set()
+    for c in concepts.patterns:
+        r = tuple(c[u] for u in distinct)
+        if all(v in a for v, a in zip(r, allowed)):
+            reduced.add(r)
+    if not reduced:
+        raise RealizabilityError("no pattern is consistent with the class and the list")
+    required = {}
+    for x_i, y_i in sample:
+        prior = required.setdefault(x_i, y_i)
+        if prior != y_i:
+            raise RealizabilityError(f"contradictory labels for instance {x_i}")
+    verts = sorted(reduced)
+    star = [v for v in verts
+            if all(v[slot[u]] == y for u, y in required.items())]
+    if not star:
+        raise RealizabilityError("no pattern is consistent with the sample labels")
+    xs = slot[x]
+    if mult[x] >= 2:
+        return verts, [], star, None, xs
+    index = {v: j for j, v in enumerate(verts)}
+    # repeated instances are left out: every edge in their direction is a singleton
+    once = [slot[u] for u in distinct if mult[u] == 1]
+    star_key = (xs, star[0][:xs] + star[0][xs + 1:])
+    edges = []
+    star_edge = None
+    for key, members in sorted(lines(verts, once).items()):
+        if key == star_key:
+            star_edge = len(edges)
+        edges.append(tuple(index[v] for v in members))
+    if star_edge is None:
+        raise AssertionError("the test direction must hold the label-consistent edge")
+    return verts, edges, star, star_edge, xs
+
+
+def version_space_lists(concepts: HypothesisClass, sample) -> tuple:
+    """Sample-support lists from their definition: the labels seen at a
+    sampled instance, and elsewhere the labels that the patterns matching
+    every labeled pair take there."""
+    consistent = [c for c in concepts.patterns if all(c[x] == y for x, y in sample)]
+    seen = {x for x, _ in sample}
+    return tuple(frozenset(y for x, y in sample if x == u) if u in seen
+                 else frozenset(c[u] for c in consistent)
+                 for u in range(concepts.n))
 
 
 def brute_min_max_outdegree(num_vertices: int, edges: list[tuple[int, ...]],

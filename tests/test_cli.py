@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -231,6 +232,30 @@ class TestLearn:
         assert code == 2 and captured.out == ""
         assert "weights must be finite" in captured.err
 
+    def test_sample_support_loo_passes(self, capsys, tmp_path):
+        # about 2.6% of the test instances are unseen at m=20, n=6
+        path = tmp_path / "E6.cls"
+        from pseudocube import extremal_class, serialize_class
+        path.write_text(serialize_class(extremal_class(6, 3, 1, 1)))
+        code, out = run(capsys, ["learn", "loo", "--provider", "sample-support",
+                                 "--input", str(path), "--m", "20", "--trials", "1000",
+                                 "--seed", "1"])
+        assert code == 0
+        assert out.splitlines()[2].startswith("1,1,3,20,1000,")
+
+    def test_loo_json_reports_forced_share(self, capsys, tmp_path):
+        path = tmp_path / "C.cls"
+        from pseudocube import (ExperimentConfig, extremal_class, loo_experiment,
+                                make_task, serialize_class)
+        h = extremal_class(4, 3, 1, 1)
+        path.write_text(serialize_class(h))
+        code, out = run(capsys, ["learn", "loo", "--input", str(path), "--m", "3",
+                                 "--trials", "200", "--seed", "6", "--format", "json"])
+        rep = loo_experiment(make_task(h, 0), ExperimentConfig(m=3, trials=200, seed=6))
+        assert code == 0
+        share = Fraction(json.loads(out)["result"]["forced_share"])
+        assert share == Fraction(rep.forced_trials, 200) and 0 < share < 1
+
     def test_identical_invocations_byte_identical(self, capsys, tmp_path):
         path = tmp_path / "C.cls"
         from pseudocube import extremal_class, serialize_class
@@ -288,6 +313,16 @@ class TestSweepVerify:
             code, out = run(capsys, argv)
             assert code == 0, (argv, out)
             assert "failures=0" in out or "ok" in out
+
+
+@pytest.mark.parametrize("argv", [["oig", "shift"], ["oig", "fixpoint"], ["oig", "density"],
+                                  ["oig", "orient"], ["learn", "uc"]])
+def test_text_only_action_rejects_json_format(capsys, three_k3, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--input", three_k3, "--format", "json"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert "--format json is not supported" in captured.err
 
 
 class TestCrossProcessDeterminism:

@@ -1,10 +1,16 @@
 """Learning-experiment outcomes are pinned.
 
-A SHA-256 over small seeded cells of ``loo_experiment`` (every per-trial
-outcome, for both list providers and for one and two worker processes),
-``pac_learn`` (the chosen chunk, the validation errors, the winning lists and
-the test error) and ``uc_experiment`` must stay fixed.  A refactor of the
-provider plumbing or of the trial fan-out has to keep every outcome.
+Two SHA-256 digests over small seeded cells of ``loo_experiment`` (every
+per-trial outcome, for one and two worker processes), ``pac_learn`` (the
+chosen chunk, the validation errors, the winning lists and the test error)
+and ``uc_experiment`` must stay fixed.  A refactor of the provider plumbing,
+of the prediction paths or of the trial fan-out has to keep every outcome.
+
+``LEARN_SHA256`` covers the full-alphabet leave-one-out records and every
+PAC and uniform-convergence record.  ``SAMPLE_SUPPORT_LOO_SHA256`` covers the
+sample-support leave-one-out records, which also pin that provider's list at
+an instance the sample missed: the labels the sample-consistent patterns
+take there.
 """
 
 import hashlib
@@ -13,14 +19,13 @@ from pseudocube import (ExperimentConfig, HypothesisClass, ListClass, Realizabil
                         extremal_class, loo_experiment, make_task, pac_learn, uc_experiment)
 from pseudocube.listlearn import pac_sample_plan
 
-LEARN_SHA256 = "05a64cca536d68adf0dcf1cd50adf6790665945f5c727f34437f20264ab8fa16"
+LEARN_SHA256 = "a7375bfc0e87fc325fc05f285ab5fc07d6f3b5e4f47264d26f92f1193f9fddb7"
+SAMPLE_SUPPORT_LOO_SHA256 = "e8620cb631be7203e15fdb369335bd7d2480a98ac20e3234bd9064bce48a35f3"
 
 PROVIDERS = ("full-alphabet", "sample-support")
 
 # (class, target index, weights, ell, m, trials, seed) of the leave-one-out
-# cells.  A sample-support list is empty at an instance the training sample
-# missed, so that provider raises ``RealizabilityError`` on a cell as soon as
-# one test point is unseen; the error text is pinned then.
+# cells.  A ``RealizabilityError`` text would be pinned like an outcome.
 LOO_CELLS = ((extremal_class(4, 3, 1, 1), 2, None, 1, 6, 60, 11),
              (extremal_class(7, 3, 1, 2), 5, None, 1, 8, 40, 12),
              (extremal_class(4, 3, 2, 1), 3, None, 2, 5, 40, 13),
@@ -43,25 +48,24 @@ UC_CELLS = ((extremal_class(3, 3, 1, 1), 2, None, 40, 30, 31),
             (HypothesisClass.from_patterns(2, 4, [(0, 2), (1, 3), (3, 0)]), 1, _FLIP, 25, 30, 32))
 
 
-def _loo_records():
+def _loo_records(provider):
     for h, target, weights, ell, m, trials, seed in LOO_CELLS:
         task = make_task(h, target, weights=weights)
         cfg = ExperimentConfig(m=m, trials=trials, seed=seed, ell=ell)
-        for provider in PROVIDERS:
-            for jobs in (1, 2):
-                head = (f"loo {sorted(h.patterns)} target={target} weights={weights} "
-                        f"m={m} trials={trials} seed={seed} ell={ell} "
-                        f"provider={provider} jobs={jobs}")
-                try:
-                    rep = loo_experiment(task, cfg, provider_kind=provider,
-                                         keep_trials=True, jobs=jobs)
-                except RealizabilityError as exc:
-                    yield f"{head} RealizabilityError: {exc}\n"
-                    continue
-                outcomes = "".join(str(int(miss)) for miss in rep.per_trial)
-                yield (f"{head} error={rep.empirical_error} bound={rep.bound!r} "
-                       f"d={rep.d_used} ell'={rep.ell_prime_used} "
-                       f"theory={rep.ell_prime_theory!r} outcomes={outcomes}\n")
+        for jobs in (1, 2):
+            head = (f"loo {sorted(h.patterns)} target={target} weights={weights} "
+                    f"m={m} trials={trials} seed={seed} ell={ell} "
+                    f"provider={provider} jobs={jobs}")
+            try:
+                rep = loo_experiment(task, cfg, provider_kind=provider,
+                                     keep_trials=True, jobs=jobs)
+            except RealizabilityError as exc:
+                yield f"{head} RealizabilityError: {exc}\n"
+                continue
+            outcomes = "".join(str(int(miss)) for miss in rep.per_trial)
+            yield (f"{head} error={rep.empirical_error} bound={rep.bound!r} "
+                   f"d={rep.d_used} ell'={rep.ell_prime_used} "
+                   f"theory={rep.ell_prime_theory!r} outcomes={outcomes}\n")
 
 
 def _pac_records():
@@ -92,17 +96,23 @@ def _uc_records():
                f"sup={rep.sup_deviation!r} g={rep.g_dim} trials={rep.trials} m={rep.m}\n")
 
 
-def learn_digest() -> tuple[str, int]:
+def digest(records) -> tuple[str, int]:
     """(hex digest, record count)."""
     sha = hashlib.sha256()
-    records = 0
-    for text in (*_loo_records(), *_pac_records(), *_uc_records()):
+    count = 0
+    for text in records:
         sha.update(text.encode("utf-8"))
-        records += 1
-    return sha.hexdigest(), records
+        count += 1
+    return sha.hexdigest(), count
 
 
 def test_learning_outcomes_unchanged():
-    digest, records = learn_digest()
-    assert records == 5 * 2 * 2 + 3 * 2 + 2
-    assert digest == LEARN_SHA256
+    sha, records = digest((*_loo_records("full-alphabet"), *_pac_records(), *_uc_records()))
+    assert records == 5 * 2 + 3 * 2 + 2
+    assert sha == LEARN_SHA256
+
+
+def test_sample_support_loo_outcomes_unchanged():
+    sha, records = digest(_loo_records("sample-support"))
+    assert records == 5 * 2
+    assert sha == SAMPLE_SUPPORT_LOO_SHA256

@@ -1,8 +1,10 @@
 import math
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pseudocube import (ExperimentConfig, HypothesisClass, ListClass,
                         ListPredictor, RealizabilityError, build_oig, extremal_class,
@@ -10,9 +12,10 @@ from pseudocube import (ExperimentConfig, HypothesisClass, ListClass,
                         make_task, orient_minmax, pac_learn, population_error,
                         predict_one_inclusion, uc_experiment,
                         verify_projection_bound)
-from pseudocube.listlearn import pac_sample_plan, _draw_pairs
+from pseudocube.listlearn import pac_sample_plan, _draw_pairs, _trial_seed
 
-from oracles import restriction_class, sample_realizable
+from oracles import (restriction_class, sample_realizable, slow_predict_one_inclusion,
+                     slow_reduced_problem, version_space_lists)
 
 
 def make(n, k, pats):
@@ -61,6 +64,27 @@ class TestListProvider:
         task = make_task(extremal_class(3, 3, 1, 1), 0)
         mu = list_provider("sample-support", task, sample=[(0, 0), (0, 2), (1, 1)])
         assert mu(0) == {0, 2} and mu(1) == {1} and mu(2) == frozenset()
+
+    def test_sample_support_unseen_instance_gets_version_space(self):
+        # extremal(3,3,1,1) holds (0,0,0), (0,0,1), (0,0,2), (0,1,0), (0,2,0),
+        # (1,0,0) and (2,0,0); the patterns with 0 at instance 0 take every
+        # label at instances 1 and 2
+        task = make_task(extremal_class(3, 3, 1, 1), 0)
+        mu = list_provider("sample-support", task, sample=[(0, 0), (0, 0)])
+        assert mu.lists == (frozenset({0}), frozenset({0, 1, 2}), frozenset({0, 1, 2}))
+        assert mu.ell == 3
+        mu = list_provider("sample-support", task, sample=[(1, 2)])
+        assert mu.lists == (frozenset({0}), frozenset({2}), frozenset({0}))
+        assert mu.ell == 1
+
+    def test_sample_support_holds_target_label(self):
+        task = make_task(extremal_class(5, 3, 1, 2), 7)
+        rng = random.Random(3)
+        for _ in range(20):
+            sample = _draw_pairs(task, rng.randrange(0, 6), rng)
+            mu = list_provider("sample-support", task, sample=sample)
+            assert all(task.target[x] in mu(x) for x in range(task.n))
+            assert mu.ell <= task.k
 
     def test_full_alphabet_filter_is_identity(self):
         task = make_task(extremal_class(3, 3, 1, 2), 3)
@@ -133,7 +157,6 @@ class TestPredictOneInclusion:
     def test_matches_full_graph_orientation_budget(self):
         # the reduced computation must agree with the generic machinery on
         # the full restriction class: same vertex count, same exact optimum
-        from pseudocube.listlearn import _reduced_problem
         from pseudocube.oig import min_max_orientation_indexed
         concepts = extremal_class(3, 3, 1, 1)
         task = make_task(concepts, 3)
@@ -147,7 +170,7 @@ class TestPredictOneInclusion:
                 points = [xi for xi, _ in sample] + [x]
                 full = restriction_class(concepts, mu, points)
                 _, cstar_full = orient_minmax(build_oig(full), ell)
-                verts, edges, star, star_edge, xs = _reduced_problem(
+                verts, edges, star, star_edge, xs = slow_reduced_problem(
                     concepts, mu, sample, x)
                 assert len(verts) == len(full)
                 if star_edge is not None:
@@ -166,6 +189,48 @@ class TestPredictOneInclusion:
         mu = list_provider("sample-support", task, sample=sample)
         out = predict_one_inclusion(concepts, mu, sample, 1, 1)
         assert out == {task.target[1]}
+
+
+@st.composite
+def prediction_cases(draw):
+    """A small class, a list predictor (either provider, or hand-made lists
+    that may hold -1 or k), a sample whose labels may repeat, contradict each
+    other or leave [0, k), a test instance that may or may not be sampled,
+    and ell."""
+    n, k = draw(st.integers(1, 4)), draw(st.integers(2, 3))
+    cells = list(product(range(k), repeat=n))
+    concepts = make(n, k, draw(st.lists(st.sampled_from(cells), min_size=1, max_size=12)))
+    target = draw(st.sampled_from(concepts.sorted_patterns()))
+    pair = st.integers(0, n - 1).flatmap(lambda u: st.tuples(
+        st.just(u), st.one_of(st.just(target[u]), st.integers(-1, k))))
+    sample = draw(st.lists(pair, max_size=6))
+    kind = draw(st.sampled_from(("full-alphabet", "sample-support", "hand")))
+    if kind == "hand":
+        label_sets = st.frozensets(st.integers(-1, k), max_size=k + 2)
+        mu = ListPredictor(k + 2, tuple(draw(label_sets) for _ in range(n)))
+    else:
+        provider_sample = draw(st.one_of(st.just(sample), st.lists(pair, max_size=6)))
+        task = make_task(concepts, concepts.sorted_patterns().index(target))
+        mu = list_provider(kind, task, sample=provider_sample)
+        if kind == "sample-support":
+            assert mu.lists == version_space_lists(concepts, provider_sample)
+    sampled = [u for u, _ in sample]
+    x = draw(st.sampled_from(sampled) if sampled and draw(st.booleans())
+             else st.integers(0, n - 1))
+    return concepts, mu, sample, x, draw(st.integers(1, k))
+
+
+def _outcome(predict, *args):
+    try:
+        return predict(*args)
+    except Exception as exc:  # the two paths must fail alike too
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(prediction_cases())
+def test_prediction_matches_slow_path(case):
+    assert _outcome(predict_one_inclusion, *case) == _outcome(slow_predict_one_inclusion, *case)
 
 
 class TestLooExperiment:
@@ -203,6 +268,26 @@ class TestLooExperiment:
             cfg = ExperimentConfig(m=m, trials=600, seed=13, ell=1)
             errs.append(float(loo_experiment(task, cfg).empirical_error))
         assert errs[0] >= errs[2]
+
+    def test_forced_trials_count_sampled_test_points(self):
+        task = make_task(extremal_class(4, 3, 1, 1), 2)
+        cfg = ExperimentConfig(m=3, trials=200, seed=17, ell=1)
+        forced = 0
+        for t in range(cfg.trials):
+            pairs = _draw_pairs(task, cfg.m + 1, random.Random(_trial_seed(cfg.seed, t)))
+            forced += pairs[-1] in pairs[:-1]
+        rep = loo_experiment(task, cfg)
+        assert rep.forced_trials == forced
+        assert 0 < forced < cfg.trials
+
+    def test_sample_support_realizable_at_unseen_points(self):
+        # most test points are unseen at m=2; the sample-support list there
+        # holds the labels of the sample-consistent patterns, the target's too
+        task = make_task(extremal_class(6, 3, 1, 1), 4)
+        cfg = ExperimentConfig(m=2, trials=300, seed=5, ell=1)
+        rep = loo_experiment(task, cfg, provider_kind="sample-support")
+        assert rep.forced_trials < cfg.trials // 2
+        assert rep.ell_prime_used == 3
 
     def test_parallel_trials_match_sequential(self):
         task = make_task(extremal_class(6, 3, 1, 1), 0)
