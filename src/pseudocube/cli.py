@@ -44,6 +44,17 @@ _TEXT_ONLY = {("oig", "shift"), ("oig", "fixpoint"), ("oig", "density"),
              ("oig", "orient"), ("learn", "uc")}
 
 
+def _int_at_least(low: int):
+    """An argparse type: an int no smaller than ``low``, else a usage error."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    parse.__name__ = "int"
+    return parse
+
+
 def _resolved(args) -> dict:
     return {k: v for k, v in sorted(vars(args).items())
             if k not in ("func", "command") and v is not None}
@@ -460,7 +471,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=100)
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_int_at_least(1), default=1)
     p.add_argument("--verbose", action="store_true")
     p.set_defaults(func=_cmd_learn)
 
@@ -469,10 +480,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--ell", type=int, default=1)
-    p.add_argument("--count", type=int, default=100)
+    p.add_argument("--count", type=_int_at_least(0), default=100)
     p.add_argument("--density", type=float, default=0.5)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_int_at_least(1), default=1)
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("verify", help="verify the proved inequalities")
@@ -482,7 +493,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=3)
     p.add_argument("--ell", type=int, default=1)
     p.add_argument("--d", type=int)
-    p.add_argument("--count", type=int, default=200)
+    p.add_argument("--count", type=_int_at_least(0), default=200)
     p.add_argument("--density", type=float, default=0.5)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_verify)

@@ -22,6 +22,11 @@ mod p is nonzero over Z, so the rank over GF(p) never exceeds the rank over Q;
 when it reaches min(rows, columns) it is the rational rank.  Polynomials keep
 rational coefficients and evaluate over their common denominator in integer
 arithmetic.  Certificates are bit-reproducible.
+
+The algebra is needed: the shifting proof of the VC case does not carry over
+to DS, as the paper remarks, because down-shifting can raise the DS dimension
+({(0,0),(0,2),(1,0),(1,1)} goes from 1 to 2 under ``oig.shift`` along
+coordinate 1).
 """
 
 from __future__ import annotations

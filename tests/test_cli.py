@@ -315,6 +315,29 @@ class TestSweepVerify:
             assert "failures=0" in out or "ok" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep", "random", "--n", "3", "--k", "3", "--count", "-2"],
+    ["verify", "shiftlaws", "--n", "3", "--k", "3", "--count", "-1"],
+    ["verify", "corollary", "--n", "3", "--k", "3", "--count", "-1"],
+    ["sweep", "exhaustive", "--n", "2", "--k", "2", "--jobs", "0"],
+    ["learn", "loo", "--m", "2", "--trials", "2", "--jobs", "0"],
+    ["learn", "pac", "--jobs", "-3"],
+])
+def test_count_below_zero_and_jobs_below_one_are_usage_errors(capsys, three_k3, argv):
+    if argv[0] == "learn":
+        argv = argv + ["--input", three_k3]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert "must be >= " in captured.err
+
+
+def test_zero_count_is_accepted(capsys):
+    code, out = run(capsys, ["verify", "corollary", "--n", "3", "--k", "3", "--count", "0"])
+    assert code == 0 and "checked=0" in out
+
+
 @pytest.mark.parametrize("argv", [["oig", "shift"], ["oig", "fixpoint"], ["oig", "density"],
                                   ["oig", "orient"], ["learn", "uc"]])
 def test_text_only_action_rejects_json_format(capsys, three_k3, argv):

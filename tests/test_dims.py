@@ -1,9 +1,12 @@
+import random
+
 import pytest
 
 from pseudocube import (CapExceeded, HypothesisClass, ListClass, ds_dimension,
                         ds_shattered, exponential_dimension, extremal_class,
                         graph_dimension, is_pseudocube, max_pseudocube_core,
                         natarajan_dimension, natarajan_shattered, project)
+from pseudocube import dims, oig
 from pseudocube.dims import graph_shattered
 
 from conftest import all_classes, random_corpus
@@ -297,3 +300,73 @@ class TestTieBreak:
             for res, shattered, zero in cases:
                 expected = first_shattered(h.n, shattered, zero)
                 assert (res.value, res.witness, res.witness_structure) == expected, h
+
+    @staticmethod
+    def permuted(h, rng):
+        order = list(range(h.n))
+        rng.shuffle(order)
+        return make(h.n, h.k, [tuple(p[i] for i in order) for p in h.patterns])
+
+    def test_upward_phase_matches_the_brute_walk(self, monkeypatch):
+        """Where the downward search hands over to the level-wise one, the
+        value, witness and structure still match the brute walk, and each
+        size tests, in lexicographic order, only sets whose one-smaller
+        subsets were all shattered."""
+        searches = []
+
+        class Recording(dims._Upward):
+            def __init__(self, n, shattered, zero):
+                self.tested = []
+
+                def logged(coords):
+                    found = shattered(coords)
+                    self.tested.append((coords, found is not None))
+                    return found
+                searches.append(self)
+                super().__init__(n, logged, zero)
+
+        monkeypatch.setattr(dims, "_Upward", Recording)
+        rng = random.Random(8)
+        corpus = [(self.permuted(extremal_class(n, 3, ell, d), rng), ell)
+                  for n in range(5, 9) for ell in (1, 2) for d in (1, 2)]
+        # a constant coordinate is a singleton that no size-2 set may extend
+        corpus += [(self.permuted(make(n, 3, [p + (0,) for p in
+                                          extremal_class(n - 1, 3, ell, d).patterns]), rng), ell)
+                   for n in (6, 7) for ell in (1, 2) for d in (1, 2)]
+        corpus += [(h, ell) for h in (random_corpus(10, 6, 3, 0.05, seed0=6500)
+                                      + random_corpus(10, 5, 4, 0.1, seed0=6600)
+                                      + random_corpus(4, 5, 4, 0.5, seed0=6700))
+                   for ell in range(1, h.k)]
+        answered_downward = 0
+        for h, ell in corpus:
+            for dimension, predicate in ((ds_dimension, ds_shattered),
+                                         (natarajan_dimension, natarajan_shattered)):
+                before = len(searches)
+                res = dimension(h, ell)
+                expected = first_shattered(h.n, lambda s: predicate(h, s, ell))
+                assert (res.value, res.witness, res.witness_structure) == expected, (h, ell)
+                answered_downward += any(up.size < res.value for up in searches[before:])
+        assert len(searches) >= len(corpus) and answered_downward
+        for up in searches:
+            hits = {s for s, ok in up.tested if ok}
+            order = [(len(s), s) for s, _ in up.tested]
+            assert order == sorted(set(order))
+            assert all(s[:i] + s[i + 1:] in hits
+                       for s, _ in up.tested if len(s) > 1 for i in range(len(s)))
+
+    def test_exponential_shattering_is_not_subset_closed(self):
+        """Why exponential_dimension never hands over: its witness (0, 1) has a
+        subset (0,) with fewer than ell+1 = 2 projected patterns."""
+        h = make(2, 4, [(0, 0), (0, 1), (0, 2), (0, 3)])
+        res = exponential_dimension(h, 1)
+        assert (res.value, res.witness) == (2, (0, 1))
+        assert len(project(h, (0,))) == 1
+
+
+def test_shifting_can_raise_the_ds_dimension():
+    """Down-shifting, which proves the VC case, can raise the DS dimension."""
+    h = make(2, 3, [(0, 0), (0, 2), (1, 0), (1, 1)])
+    shifted = oig.shift(h, 1)
+    assert shifted.patterns == {(0, 0), (0, 1), (1, 0), (1, 1)}
+    assert ds_dimension(h, 1).value == 1
+    assert ds_dimension(shifted, 1).value == 2
