@@ -17,9 +17,9 @@ from .bounds import (AppendixReport, BoundReport, BoundViolation, appendix_check
                      extremal_class, natarajan_sauer_bound, turan_reference,
                      verify_sauer)
 from .oig import (DegreeStats, Edge, ListOrientation, OneInclusionGraph,
-                  build_flow_network, build_oig, degree_stats, is_downward_closed,
-                  max_density_bruteforce, max_flow_value, orient_minmax,
-                  outdegrees, shift, shift_fixed_point)
+                  build_oig, degree_stats, is_downward_closed,
+                  max_density_bruteforce, orient_minmax, outdegrees, shift,
+                  shift_fixed_point)
 from .polycert import (Certificate, MonomialSet, PeelingError, RationalPolynomial,
                        SpanReport, construct_q, indicator_poly, load_certificate,
                        monomial_set, peeling_order, serialize_certificate,

@@ -324,6 +324,8 @@ def _cmd_sweep(args, out) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_verify(args, out) -> int:
+    if args.target == "appendix" and not 1 <= args.ell < args.k:
+        raise ValueError(f"need 1 <= ell < k, got ell={args.ell}, k={args.k}")
     _emit(out, _header(args, "verify"))
     failures = 0
     if args.target == "sauer":

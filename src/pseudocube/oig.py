@@ -12,8 +12,11 @@ vertex pays one unit of ell-outdegree for every incident edge that does not
 select it.  The least achievable maximum ell-outdegree equals the least
 integer c for which a layered flow network (source -> edges -> vertices ->
 sink, with capacities (|e|-ell)_+, 1, and c) carries a flow saturating the
-source.  We binary-search c and read the orientation off an integral
-maximum flow, so the result is an exact optimum, not an upper bound.
+source.  The outdegrees sum to the total demand, so c is at least its
+ceiling average over the vertices, and feasibility only grows with c.  We
+try c upward from that bound and read the orientation off the integral
+maximum flow at the first feasible c, so the result is an exact optimum, not
+an upper bound.
 """
 
 from __future__ import annotations
@@ -159,104 +162,77 @@ def max_density_bruteforce(h: HypothesisClass, ell: int,
 # Integer flow network and min-max orientation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class FlowNetwork:
     """Layered network: source -> one node per demanding edge -> one node per
-    vertex -> sink.  Source arcs carry (|e|-ell)_+, middle arcs 1, sink arcs
-    the uniform budget c."""
+    vertex -> sink.  Source arcs carry the edge demands (|e|-ell)_+, middle
+    arcs 1, sink arcs the uniform budget ``sink_capacity``.
 
-    edge_demands: tuple[int, ...]
-    incidence: tuple[tuple[int, ...], ...]  # per demanding edge: vertex indices
-    num_vertices: int
-    sink_capacity: int
+    ``max_flow`` is Dinic's algorithm on integer capacities.  Arcs are added
+    edge by edge (source arc, then its middle arcs), then the sink arcs, and
+    augmentation follows that order, so flows are reproducible."""
 
+    def __init__(self, num_vertices: int, incidence: list[tuple[int, ...]],
+                 demands: list[int], sink_capacity: int):
+        ne = len(demands)
+        self.sink = 1 + ne + num_vertices
+        self.adj: list[list[list[int]]] = [[] for _ in range(self.sink + 1)]
+        self.incidence = incidence
+        self.mid_arcs: list[list[list[int]]] = []
+        for j, (demand, members) in enumerate(zip(demands, incidence)):
+            self._add_arc(0, 1 + j, demand)
+            self.mid_arcs.append([self._add_arc(1 + j, 1 + ne + v, 1) for v in members])
+        for v in range(num_vertices):
+            self._add_arc(1 + ne + v, self.sink, sink_capacity)
 
-class _Dinic:
-    """Max flow on integer capacities; augmentation order is fixed by arc
-    insertion order, so results are reproducible."""
-
-    def __init__(self, size: int):
-        self.adj: list[list[list[int]]] = [[] for _ in range(size)]
-
-    def add_arc(self, u: int, v: int, cap: int) -> list[int]:
+    def _add_arc(self, u: int, v: int, cap: int) -> list[int]:
         arc = [v, cap, len(self.adj[v])]
         rev = [u, 0, len(self.adj[u])]
         self.adj[u].append(arc)
         self.adj[v].append(rev)
         return arc
 
-    def max_flow(self, s: int, t: int) -> int:
+    def max_flow(self) -> int:
+        """Augment from the source (node 0) to the sink until no path is left."""
+        adj, t = self.adj, self.sink
         flow = 0
         while True:
-            level = [-1] * len(self.adj)
-            level[s] = 0
-            queue = [s]
+            level = [-1] * len(adj)
+            level[0] = 0
+            queue = [0]
             for u in queue:
-                for v, cap, _ in self.adj[u]:
+                for v, cap, _ in adj[u]:
                     if cap > 0 and level[v] < 0:
                         level[v] = level[u] + 1
                         queue.append(v)
             if level[t] < 0:
                 return flow
-            it = [0] * len(self.adj)
+            it = [0] * len(adj)
 
             def dfs(u: int, limit: int) -> int:
                 if u == t:
                     return limit
-                while it[u] < len(self.adj[u]):
-                    arc = self.adj[u][it[u]]
+                while it[u] < len(adj[u]):
+                    arc = adj[u][it[u]]
                     v, cap, rev = arc
                     if cap > 0 and level[v] == level[u] + 1:
                         pushed = dfs(v, min(limit, cap))
                         if pushed:
                             arc[1] -= pushed
-                            self.adj[v][rev][1] += pushed
+                            adj[v][rev][1] += pushed
                             return pushed
                     it[u] += 1
                 return 0
 
             while True:
-                pushed = dfs(s, 1 << 62)
+                pushed = dfs(0, 1 << 62)
                 if not pushed:
                     break
                 flow += pushed
 
-
-def build_flow_network(g: OneInclusionGraph, ell: int, sink_capacity: int) -> FlowNetwork:
-    """Network over the demanding edges (|e| > ell) of ``g``."""
-    index = {v: j for j, v in enumerate(g.vertices)}
-    demands = []
-    incidence = []
-    for e in g.edges:
-        d = len(e) - ell
-        if d > 0:
-            demands.append(d)
-            incidence.append(tuple(index[v] for v in e.members))
-    return FlowNetwork(edge_demands=tuple(demands), incidence=tuple(incidence),
-                       num_vertices=len(g.vertices), sink_capacity=sink_capacity)
-
-
-def max_flow_value(net: FlowNetwork) -> int:
-    value, _ = _solve_flow(net)
-    return value
-
-
-def _solve_flow(net: FlowNetwork) -> tuple[int, list[list[int]]]:
-    """Returns (flow value, per-edge list of vertex indices receiving 1 unit)."""
-    ne = len(net.edge_demands)
-    source = 0
-    sink = 1 + ne + net.num_vertices
-    dinic = _Dinic(sink + 1)
-    mid_arcs: list[list[list[int]]] = []
-    for j, (demand, members) in enumerate(zip(net.edge_demands, net.incidence)):
-        dinic.add_arc(source, 1 + j, demand)
-        mid_arcs.append([dinic.add_arc(1 + j, 1 + ne + v, 1) for v in members])
-    for v in range(net.num_vertices):
-        dinic.add_arc(1 + ne + v, sink, net.sink_capacity)
-    value = dinic.max_flow(source, sink)
-    routed = [[v for arc, v in zip(arcs, members) if arc[1] == 0]
-              for arcs, members in zip(mid_arcs, net.incidence)]
-    return value, routed
+    def charged(self) -> list[list[int]]:
+        """Per demanding edge, the vertices whose middle arc carries flow."""
+        return [[v for arc, v in zip(arcs, members) if arc[1] == 0]
+                for arcs, members in zip(self.mid_arcs, self.incidence)]
 
 
 @dataclass(frozen=True)
@@ -272,50 +248,31 @@ def min_max_orientation_indexed(num_vertices: int, edges: list[tuple[int, ...]],
     """Core routine on integer-indexed vertices.
 
     Returns per-edge selected vertex sets (each of size min(|e|, ell)) and the
-    exact least achievable maximum ell-outdegree.  Feasibility of an
-    outdegree budget c is precisely the saturating-flow condition, so the
-    binary search returns the true optimum.
+    exact least achievable maximum ell-outdegree c*.  A budget c is feasible
+    precisely when the flow saturates the total demand.  The outdegrees sum
+    to the total demand, so c* >= ceil(total / |V|), and feasibility only
+    grows with c; budgets are tried upward from that bound on a fresh network
+    each, so the first feasible one is c* and the selection is read off its
+    flow.
     """
     demands = [max(len(e) - ell, 0) for e in edges]
     total = sum(demands)
     if total == 0:
         return [frozenset(e) for e in edges], 0
-    deg = [0] * num_vertices
-    for e, d in zip(edges, demands):
-        if d > 0:
-            for v in e:
-                deg[v] += 1
-    lo, hi = 1, max(deg)  # c = max ell-degree is always feasible
-    demanding = [e for e, d in zip(edges, demands) if d > 0]
-    net_base = FlowNetwork(edge_demands=tuple(d for d in demands if d > 0),
-                           incidence=tuple(tuple(e) for e in demanding),
-                           num_vertices=num_vertices, sink_capacity=0)
-
-    def routed_at(c: int):
-        net = FlowNetwork(net_base.edge_demands, net_base.incidence, num_vertices, c)
-        value, routed = _solve_flow(net)
-        return routed if value == total else None
-
-    best = routed_at(hi)
-    if best is None:
-        raise AssertionError("max ell-degree budget must admit a saturating flow")
-    while lo < hi:
-        mid = (lo + hi) // 2
-        routed = routed_at(mid)
-        if routed is None:
-            lo = mid + 1
-        else:
-            hi = mid
-            best = routed
-    selection: list[frozenset[int]] = []
-    it = iter(best)
-    for e, d in zip(edges, demands):
-        if d == 0:
-            selection.append(frozenset(e))
-        else:
-            charged = set(next(it))
-            selection.append(frozenset(v for v in e if v not in charged))
-    return selection, lo
+    incidence = [e for e, d in zip(edges, demands) if d > 0]
+    positive = [d for d in demands if d > 0]
+    c = -(-total // num_vertices)
+    while True:
+        net = FlowNetwork(num_vertices, incidence, positive, c)
+        if net.max_flow() == total:
+            break
+        if c >= len(incidence):
+            raise AssertionError("a budget of one per demanding edge must admit a saturating flow")
+        c += 1
+    charged = iter(net.charged())
+    selection = [frozenset(e) if d == 0 else frozenset(e).difference(next(charged))
+                 for e, d in zip(edges, demands)]
+    return selection, c
 
 
 def orient_minmax(g: OneInclusionGraph, ell: int) -> tuple[ListOrientation, int]:

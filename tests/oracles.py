@@ -2,20 +2,24 @@
 
 These deliberately avoid the package's accelerated code paths (peeling,
 flows, modular and fraction-free elimination, common-denominator
-evaluation) so that agreement is meaningful.  The slow one-inclusion
-predictor is the exception: it keeps the path that rebuilds the restricted
+evaluation) so that agreement is meaningful.  Three are exceptions.  The
+slow one-inclusion predictor keeps the path that rebuilds the restricted
 patterns on every call, which the bitmask index of ``listlearn`` replaced,
 and shares the flow orientation with it, so it checks everything in front of
-the flow.
+the flow.  The bisecting orientation and ``max_flow_value`` share the flow
+network, so they check the budget search and the flow lemmas.  The lex
+standard monomials use the package's exact rank.
 """
 
+import math
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 from pseudocube import HypothesisClass, RealizabilityError, is_pseudocube
 from pseudocube.classes import lines
-from pseudocube.oig import min_max_orientation_indexed
+from pseudocube.oig import FlowNetwork, min_max_orientation_indexed
+from pseudocube.polycert import exact_rank
 
 
 def brute_max_pseudocube(p: HypothesisClass, m: int) -> frozenset:
@@ -180,6 +184,68 @@ def brute_min_max_outdegree(num_vertices: int, edges: list[tuple[int, ...]],
 
     rec(0, 0)
     return best
+
+
+def max_flow_value(g, ell: int, c: int) -> int:
+    """Maximum flow through the network over the demanding edges (|e| > ell)
+    of the one-inclusion graph ``g`` at the uniform sink budget c."""
+    index = {v: j for j, v in enumerate(g.vertices)}
+    demanding = [e for e in g.edges if len(e) > ell]
+    return FlowNetwork(len(g.vertices), [tuple(index[v] for v in e.members) for e in demanding],
+                       [len(e) - ell for e in demanding], c).max_flow()
+
+
+def bisect_min_max_orientation(num_vertices: int, edges: list[tuple[int, ...]],
+                               ell: int) -> tuple[list[frozenset[int]], int]:
+    """The min-max orientation by bisection: the budget c is searched in
+    [1, largest ell-degree], which is always feasible, on a fresh network per
+    probe, and the selection is read off the flow of the last feasible probe,
+    which is at the optimum."""
+    demands = [max(len(e) - ell, 0) for e in edges]
+    total = sum(demands)
+    if total == 0:
+        return [frozenset(e) for e in edges], 0
+    incidence = [e for e, d in zip(edges, demands) if d > 0]
+    positive = [d for d in demands if d > 0]
+    deg = Counter(v for e in incidence for v in e)
+
+    def charged_at(c: int):
+        net = FlowNetwork(num_vertices, incidence, positive, c)
+        return net.charged() if net.max_flow() == total else None
+
+    lo, hi = 1, max(deg.values())
+    best = charged_at(hi)
+    if best is None:
+        raise AssertionError("max ell-degree budget must admit a saturating flow")
+    while lo < hi:
+        mid = (lo + hi) // 2
+        charged = charged_at(mid)
+        if charged is None:
+            lo = mid + 1
+        else:
+            hi, best = mid, charged
+    it = iter(best)
+    return [frozenset(e) if d == 0 else frozenset(e) - set(next(it))
+            for e, d in zip(edges, demands)], lo
+
+
+def lex_standard_monomials(h: HypothesisClass, order) -> list[tuple[int, ...]]:
+    """Exponent vectors of the lex standard monomials of the point set ``h``.
+
+    Greedy elimination: walk the exponent vectors below k in ascending lex
+    order, with ``order`` listing the coordinates from the most significant
+    to the least, and keep each one whose evaluation row on ``h`` raises the
+    rank of the rows kept so far."""
+    pats = sorted(h.patterns)
+    kept: list[tuple[int, ...]] = []
+    rows: list[list[int]] = []
+    for e in sorted(product(range(h.k), repeat=h.n),
+                    key=lambda e: tuple(e[i] for i in order)):
+        row = [math.prod(x ** a for x, a in zip(p, e)) for p in pats]
+        if exact_rank(rows + [row]) > len(rows):
+            kept.append(e)
+            rows.append(row)
+    return kept
 
 
 def rank_fraction_pivot(rows: list[list[int]]) -> int:

@@ -11,10 +11,9 @@ import math
 
 import pseudocube as pc
 from pseudocube.listlearn import ExperimentConfig, pac_sample_plan
-from pseudocube.oig import build_flow_network, max_flow_value
 
 from conftest import all_classes, random_corpus
-from oracles import brute_min_max_outdegree
+from oracles import brute_min_max_outdegree, max_flow_value
 
 
 def report(num, name, ok, detail=""):
@@ -118,7 +117,7 @@ def test_06_flow_lemmas():
             g = pc.build_oig(h)
             c = math.ceil(pc.max_density_bruteforce(h, ell))
             demand = sum(max(len(e) - ell, 0) for e in g.edges)
-            ok &= max_flow_value(build_flow_network(g, ell, c)) == demand
+            ok &= max_flow_value(g, ell, c) == demand
     c8 = (random_corpus(25, 2, 3, 0.45, seed0=73000, max_size=8)
           + random_corpus(15, 3, 3, 0.18, seed0=74000, max_size=8)
           + random_corpus(10, 2, 4, 0.3, seed0=75000, max_size=8))

@@ -333,6 +333,24 @@ def test_count_below_zero_and_jobs_below_one_are_usage_errors(capsys, three_k3, 
     assert "must be >= " in captured.err
 
 
+@pytest.mark.parametrize("ell", ["-1", "0", "-3", "3", "7"])
+def test_verify_appendix_rejects_ell_outside_one_to_k(capsys, ell):
+    code = main(["verify", "appendix", "--n", "2", "--k", "3", "--ell", ell])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert f"need 1 <= ell < k, got ell={ell}, k=3" in captured.err
+
+
+@pytest.mark.parametrize("ell, tail", [
+    ("1", "largest_peelable_size_at_ell=5 turan_scale=5.19615"),
+    ("2", "largest_peelable_size_at_ell=8 turan_scale=6.24025"),
+])
+def test_verify_appendix_in_range_ell(capsys, ell, tail):
+    code, out = run(capsys, ["verify", "appendix", "--n", "2", "--k", "3", "--ell", ell])
+    assert code == 0
+    assert out.splitlines()[1:] == ["appendix: checked=1349 failures=0", tail]
+
+
 def test_zero_count_is_accepted(capsys):
     code, out = run(capsys, ["verify", "corollary", "--n", "3", "--k", "3", "--count", "0"])
     assert code == 0 and "checked=0" in out

@@ -1,17 +1,18 @@
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pseudocube import (CapExceeded, HypothesisClass, build_flow_network,
-                        build_oig, degree_stats, exponential_dimension,
-                        is_downward_closed, max_density_bruteforce,
-                        max_flow_value, orient_minmax, outdegrees, shift,
-                        shift_fixed_point)
+from pseudocube import (CapExceeded, HypothesisClass, build_oig, degree_stats,
+                        exponential_dimension, is_downward_closed,
+                        max_density_bruteforce, orient_minmax, outdegrees,
+                        shift, shift_fixed_point)
 from pseudocube.oig import format_orientation, min_max_orientation_indexed
 
 from conftest import random_corpus
-from oracles import brute_min_max_outdegree
+from oracles import (bisect_min_max_orientation, brute_min_max_outdegree,
+                     max_flow_value)
 
 THREE = HypothesisClass.from_patterns(2, 2, [(0, 0), (0, 1), (1, 0)])
 
@@ -161,14 +162,12 @@ class TestFlowNetwork:
                 g = build_oig(h)
                 md = max_density_bruteforce(h, ell)
                 c = math.ceil(md)
-                net = build_flow_network(g, ell, c)
                 demand = sum(max(len(e) - ell, 0) for e in g.edges)
-                assert max_flow_value(net) == demand
+                assert max_flow_value(g, ell, c) == demand
 
     def test_undersized_budget_cannot_saturate(self):
         g = build_oig(full_cube(2, 2))
-        net = build_flow_network(g, 1, 0)
-        assert max_flow_value(net) == 0
+        assert max_flow_value(g, 1, 0) == 0
 
 
 class TestOrientMinmax:
@@ -228,6 +227,30 @@ class TestIndexedOrientation:
         assert cstar == 1
         for chosen, edge in zip(sel, [(0, 1), (0, 2)]):
             assert len(chosen) == 1 and chosen <= set(edge)
+
+
+@st.composite
+def indexed_graphs(draw):
+    """Vertex count and edges over it: some vertices isolated, edges of any
+    size up to 6 (so also of size <= ell), some edges repeated."""
+    nv = draw(st.integers(1, 12))
+    edge = st.lists(st.integers(0, nv - 1), min_size=1, max_size=min(nv, 6),
+                    unique=True).map(lambda e: tuple(sorted(e)))
+    edges = draw(st.lists(edge, max_size=12))
+    if edges:
+        edges += draw(st.lists(st.sampled_from(edges), max_size=3))
+    return nv, draw(st.permutations(edges))
+
+
+@settings(max_examples=400, deadline=None)
+@given(indexed_graphs(), st.integers(1, 3))
+def test_property_upward_scan_matches_bisection(graph, ell):
+    nv, edges = graph
+    selection, cstar = min_max_orientation_indexed(nv, edges, ell)
+    assert (selection, cstar) == bisect_min_max_orientation(nv, edges, ell)
+    choices = math.prod(math.comb(len(e), max(len(e) - ell, 0)) for e in edges)
+    if choices <= 2000:
+        assert cstar == brute_min_max_outdegree(nv, edges, ell)
 
 
 @settings(max_examples=40, deadline=None)

@@ -16,7 +16,7 @@ from pseudocube.polycert import (MODULUS, VerifyReport, exact_rank, rank_bareiss
                                  rank_mod_p)
 
 from conftest import all_classes, random_corpus
-from oracles import fraction_evaluate, rank_fraction_pivot
+from oracles import fraction_evaluate, lex_standard_monomials, rank_fraction_pivot
 
 THREE = HypothesisClass.from_patterns(2, 2, [(0, 0), (0, 1), (1, 0)])
 
@@ -390,3 +390,18 @@ class TestExhaustiveSmall:
         for h in all_classes(2, 2):
             d = ds_dimension(h, 1).value
             assert spanning_certificate(h, 1, d, check_dim=False).spans
+
+
+def test_lex_standard_monomials_can_leave_the_bounded_high_basis():
+    """The lex game does not prove the bound: on a class that meets it with
+    equality, the lex standard monomials under either coordinate order hold
+    x0*x1, which has two exponents >= ell and so lies outside the d=1 basis
+    that still spans."""
+    h = make(2, 3, [(0, 1), (0, 2), (1, 0), (1, 1), (2, 0)])
+    assert ds_dimension(h, 1).value == 1
+    assert len(h) == ds_sauer_bound(2, 3, 1, 1) == 5
+    assert spanning_certificate(h, 1, 1).spans
+    basis = set(monomial_set(2, 3, 1, 1).exponents)
+    assert (1, 1) not in basis
+    assert lex_standard_monomials(h, (0, 1)) == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1)]
+    assert lex_standard_monomials(h, (1, 0)) == [(0, 0), (1, 0), (2, 0), (0, 1), (1, 1)]
