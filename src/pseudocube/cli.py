@@ -324,13 +324,24 @@ def _cmd_sweep(args, out) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_verify(args, out) -> int:
-    if args.target == "appendix" and not 1 <= args.ell < args.k:
-        raise ValueError(f"need 1 <= ell < k, got ell={args.ell}, k={args.k}")
+    # inputs are checked before the header, so a rejected run prints nothing
+    single = args.target == "sauer" and args.input
+    if single:
+        h = _read_class(args.input)
+        if h.is_empty:
+            raise ValueError("cannot verify bounds for the empty class")
+    elif args.n < 1 or args.k < 2:
+        raise ValueError(f"need n >= 1 and k >= 2, got n={args.n} k={args.k}")
+    k = h.k if single else args.k
+    if (single or args.target == "appendix") and not 1 <= args.ell < k:
+        raise ValueError(f"need 1 <= ell < k, got ell={args.ell}, k={k}")
+    if args.target in ("shiftlaws", "corollary") and not 0.0 <= args.density <= 1.0:
+        raise ValueError(f"density must lie in [0,1], got {args.density}")
     _emit(out, _header(args, "verify"))
     failures = 0
     if args.target == "sauer":
-        if args.input:
-            verify_sauer(_read_class(args.input), args.ell, claimed_d=args.d)
+        if single:
+            verify_sauer(h, args.ell, claimed_d=args.d)
             _emit(out, "sauer: ok")
         else:
             count = 0

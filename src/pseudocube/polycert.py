@@ -26,7 +26,10 @@ arithmetic.  Certificates are bit-reproducible.
 The algebra is needed: the shifting proof of the VC case does not carry over
 to DS, as the paper remarks, because down-shifting can raise the DS dimension
 ({(0,0),(0,2),(1,0),(1,1)} goes from 1 to 2 under ``oig.shift`` along
-coordinate 1).  Order-shattering and the lex game do not prove it either: on
+coordinate 1).  Choosing the shifts does not avoid that: from 36 of the 511
+classes at n=2, k=3, ell=1, every sequence of down-shifts that reaches a
+downward-closed class passes a class of larger DS dimension than the start.
+Order-shattering and the lex game do not prove it either: on
 {(0,1),(0,2),(1,0),(1,1),(2,0)}, which meets the bound at d=1, ell=1, the
 lex standard monomials under both coordinate orders include x0*x1.
 """

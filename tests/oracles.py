@@ -18,7 +18,8 @@ from itertools import combinations, product
 
 from pseudocube import HypothesisClass, RealizabilityError, is_pseudocube
 from pseudocube.classes import lines
-from pseudocube.oig import FlowNetwork, min_max_orientation_indexed
+from pseudocube.oig import (FlowNetwork, is_downward_closed, min_max_orientation_indexed,
+                            shift)
 from pseudocube.polycert import exact_rank
 
 
@@ -53,6 +54,25 @@ def brute_ds_dimension(h: HypothesisClass, ell: int) -> int:
             if brute_contains_pseudocube(project(h, coords), ell + 1):
                 best = d
     return best
+
+
+def shift_path_exists(h: HypothesisClass, dimension) -> bool:
+    """Does some sequence of down-shifts ``oig.shift(g, i)`` lead from ``h`` to
+    a downward-closed class through classes g with ``dimension(g)`` at most
+    ``dimension(h)``?  A depth-first search over the classes so reachable."""
+    limit = dimension(h)
+    seen = {h.patterns}
+    stack = [h]
+    while stack:
+        g = stack.pop()
+        if is_downward_closed(g):
+            return True
+        for i in range(g.n):
+            nxt = shift(g, i)
+            if nxt.patterns not in seen and dimension(nxt) <= limit:
+                seen.add(nxt.patterns)
+                stack.append(nxt)
+    return False
 
 
 def first_shattered(n: int, shattered, zero=None):

@@ -341,6 +341,30 @@ def test_verify_appendix_rejects_ell_outside_one_to_k(capsys, ell):
     assert f"need 1 <= ell < k, got ell={ell}, k=3" in captured.err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "corollary", "--n", "0", "--count", "3"], "need n >= 1 and k >= 2, got n=0 k=3"),
+    (["verify", "corollary", "--density", "1.5", "--count", "3"],
+     "density must lie in [0,1], got 1.5"),
+    (["verify", "shiftlaws", "--k", "1", "--count", "3"], "need n >= 1 and k >= 2, got n=2 k=1"),
+    (["verify", "shiftlaws", "--density", "-0.5", "--count", "3"],
+     "density must lie in [0,1], got -0.5"),
+    (["verify", "sauer", "--n", "0"], "need n >= 1 and k >= 2, got n=0 k=3"),
+    (["verify", "appendix", "--k", "1"], "need n >= 1 and k >= 2, got n=2 k=1"),
+    (["verify", "sauer", "--input", "{three_k3}", "--ell", "3"], "need 1 <= ell < k, got ell=3, k=3"),
+    (["verify", "sauer", "--input", "{three_k3}", "--ell", "0"], "need 1 <= ell < k, got ell=0, k=3"),
+    (["verify", "sauer", "--input", "{empty}"], "cannot verify bounds for the empty class"),
+])
+def test_verify_rejects_bad_parameters_before_the_header(capsys, three_k3, tmp_path, argv,
+                                                        message):
+    empty = tmp_path / "empty.cls"
+    empty.write_text("n=2 k=3\n")
+    argv = [a.format(three_k3=three_k3, empty=empty) for a in argv]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert message in captured.err
+
+
 @pytest.mark.parametrize("ell, tail", [
     ("1", "largest_peelable_size_at_ell=5 turan_scale=5.19615"),
     ("2", "largest_peelable_size_at_ell=8 turan_scale=6.24025"),

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -5,12 +6,14 @@ import pytest
 from pseudocube import (CapExceeded, HypothesisClass, ListClass, ds_dimension,
                         ds_shattered, exponential_dimension, extremal_class,
                         graph_dimension, is_pseudocube, max_pseudocube_core,
-                        natarajan_dimension, natarajan_shattered, project)
+                        natarajan_dimension, natarajan_shattered, project,
+                        random_class)
 from pseudocube import dims, oig
 from pseudocube.dims import graph_shattered
 
 from conftest import all_classes, random_corpus
-from oracles import brute_ds_dimension, brute_max_pseudocube, first_shattered
+from oracles import (brute_ds_dimension, brute_max_pseudocube, first_shattered,
+                     shift_path_exists)
 
 PAPER_CYCLE = HypothesisClass.from_patterns(
     2, 7, [(1, 2), (3, 2), (3, 4), (5, 4), (5, 6), (1, 6)])
@@ -137,6 +140,84 @@ class TestDsDimension:
         for h in corpus:
             for ell in range(1, h.k):
                 assert ds_dimension(h, ell).value == brute_ds_dimension(h, ell)
+
+
+class TestCubeKernel:
+    """The cube-mask kernel that answers the DS search, against the heap peel
+    it stands in for."""
+
+    @staticmethod
+    def cells(patterns, k):
+        return {sum(v * k ** j for j, v in enumerate(p)) for p in patterns}
+
+    @staticmethod
+    def bits(mask):
+        return {i for i in range(mask.bit_length()) if mask >> i & 1}
+
+    def test_core_cells_equal_the_heap_core_on_every_coordinate_set(self):
+        rng = random.Random(9100)
+        tested = 0
+        for seed in range(9100, 9260):
+            n, k = rng.randint(1, 5), rng.randint(2, 4)
+            h = random_class(n, k, rng.choice((0.2, 0.4, 0.6, 0.8)), seed)
+            if h.is_empty:
+                continue
+            cols = list(zip(*h.patterns))
+            for ell in (1, 2, 3):
+                for d in range(1, n + 1):
+                    for coords in itertools.combinations(range(n), d):
+                        mask = dims._cube_core(dims._cube_mask(cols, coords, k), k,
+                                               dims._digit_zero(k, d), ell + 1)
+                        heap = max_pseudocube_core(project(h, coords), ell + 1).core
+                        assert self.bits(mask) == self.cells(heap.patterns, k), (h, coords, ell)
+                        tested += bool(mask)
+        assert tested > 500
+
+    @staticmethod
+    def heap_search(h, ell):
+        return dims._search(h.n, len(h), ell + 1, lambda s: ds_shattered(h, s, ell),
+                            lower=dims._sauer_lower(h.n, h.k, ell, len(h)))
+
+    def test_same_result_as_the_heap_search_below_the_crossover(self):
+        corpus = (random_corpus(12, 3, 3, 0.4, seed0=9300, max_size=12)
+                  + random_corpus(8, 2, 4, 0.5, seed0=9400, max_size=10)
+                  + random_corpus(8, 4, 2, 0.5, seed0=9500, max_size=12)
+                  + [PAPER_CYCLE])
+        for h in corpus:
+            for ell in range(1, h.k):
+                assert h.k ** h.n <= dims._KERNEL_CELLS_PER_PATTERN * len(h)
+                res = ds_dimension(h, ell)
+                assert res == self.heap_search(h, ell), (h, ell)
+                assert res.value == brute_ds_dimension(h, ell), (h, ell)
+
+    def test_same_result_as_the_heap_search_across_the_crossover(self):
+        """At k=70 and |H|=8 the 3-sets go to the heap (70^3 > 1024 * 8) and
+        smaller sets to the kernel.  The heap side needs (k/(ell+1))^d > 1024
+        with (ell+1)^d <= |H|, so a large alphabet keeps |H| small enough for
+        the definition oracle."""
+        rng = random.Random(9600)
+        corpus = []
+        for _ in range(40):
+            pats = rng.sample(sorted(itertools.product(range(3), repeat=3)), 7)
+            corpus.append(make(3, 70, pats + [(rng.randrange(70), rng.randrange(70), 69)]))
+        for _ in range(4):
+            labels = [rng.sample(range(70), 2) for _ in range(3)]
+            corpus.append(make(3, 70, [tuple(labels[j][b] for j, b in enumerate(p))
+                                       for p in itertools.product((0, 1), repeat=3)]))
+        values = []
+        for h in corpus:
+            assert 70 ** 3 > dims._KERNEL_CELLS_PER_PATTERN * len(h) >= 70 ** 2
+            for ell in (1, 2):
+                res = ds_dimension(h, ell)
+                assert res == self.heap_search(h, ell), (h, ell)
+                assert res.value == brute_ds_dimension(h, ell), (h, ell)
+                values.append(res.value)
+        assert {0, 1, 2, 3} <= set(values)
+
+    def test_a_disagreeing_witness_peel_raises(self, monkeypatch):
+        monkeypatch.setattr(dims, "ds_shattered", lambda h, coords, ell: None)
+        with pytest.raises(RuntimeError, match="disagree"):
+            ds_dimension(PAPER_CYCLE, 1)
 
 
 class TestNatarajanDimension:
@@ -370,3 +451,22 @@ def test_shifting_can_raise_the_ds_dimension():
     assert shifted.patterns == {(0, 0), (0, 1), (1, 0), (1, 1)}
     assert ds_dimension(h, 1).value == 1
     assert ds_dimension(shifted, 1).value == 2
+
+
+@pytest.mark.parametrize("n, k, ell, stuck", [(2, 3, 1, 36), (2, 3, 2, 0), (3, 2, 1, 0)])
+def test_classes_that_no_dimension_keeping_shift_path_brings_down(n, k, ell, stuck):
+    """Count the classes from which no sequence of down-shifts reaches a
+    downward-closed class without passing a class of larger DS dimension.
+    There are 36 at n=2, k=3, ell=1, the lex-game example of ``polycert``
+    among them, and none at ell=2 or in the VC case n=3, k=2."""
+    memo = {}
+
+    def dimension(g):
+        if g.patterns not in memo:
+            memo[g.patterns] = ds_dimension(g, ell).value
+        return memo[g.patterns]
+
+    blocked = [h for h in all_classes(n, k) if not shift_path_exists(h, dimension)]
+    assert len(blocked) == stuck
+    if stuck:
+        assert make(2, 3, [(0, 1), (0, 2), (1, 0), (1, 1), (2, 0)]) in blocked
