@@ -151,9 +151,10 @@ def iter_all_classes(n: int, k: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Iter
     There are 2^(k^n) - 1 of them; the bitmask of the lexicographic cell list
     runs from 1 upward.  Intended for exhaustive sweeps at tiny (n, k).
     """
+    # k^n >= cap.bit_length() is 2^(k^n) > cap, checked before any cell is built
+    if k ** n >= cap.bit_length():
+        raise CapExceeded(f"2^(k^n) = 2^{k ** n} exceeds cap {cap}")
     cells = list(_iter_cube(n, k))
-    if 2 ** len(cells) > cap:
-        raise CapExceeded(f"2^(k^n) = 2^{len(cells)} exceeds cap {cap}")
     for mask in range(1, 2 ** len(cells)):
         pats = [cells[j] for j in range(len(cells)) if mask >> j & 1]
         yield HypothesisClass(n, k, frozenset(pats))

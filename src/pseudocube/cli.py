@@ -337,11 +337,13 @@ def _cmd_verify(args, out) -> int:
         raise ValueError(f"need 1 <= ell < k, got ell={args.ell}, k={k}")
     if args.target in ("shiftlaws", "corollary") and not 0.0 <= args.density <= 1.0:
         raise ValueError(f"density must lie in [0,1], got {args.density}")
+    if single:
+        # a wrong claimed d is known only once the dimension is computed
+        verify_sauer(h, args.ell, claimed_d=args.d)
     _emit(out, _header(args, "verify"))
     failures = 0
     if args.target == "sauer":
         if single:
-            verify_sauer(h, args.ell, claimed_d=args.d)
             _emit(out, "sauer: ok")
         else:
             count = 0

@@ -15,21 +15,15 @@ Conventions used throughout:
 
 All four dimensions run one subset search, ``_search``, with the shattering
 test of their kind; the first hit, largest size first and then lexicographic,
-is the witness.  It tests sizes downward, which is cheap when the dimension is
-near n (dense classes).  The DS and Natarajan searches also count the
-coordinates they read against a budget from the sharp Sauer bound
-|H| <= sum_{i<=d} C(n,i) (k-ell)^i ell^(n-i): its least such d is a lower
-bound L on the DS dimension, and the budget is what a level-wise (Apriori)
-search reads to reach size L+1.  Where refuting every size above L downward
-reads more than twice the budget, a level-wise search joins in once the
-budget is spent, and the two take turns, the one that has read less going
-next, so a dimension near L (sparse classes) is found from below and one far
-above L still from above.  DS and Natarajan shattering are closed under taking
-subsets, so the answer, witness and structure are those of the downward
-search.  On the permuted extremal classes of the benchmark, whose DS
-dimension is L, this cut the time of a ``dims_sparse`` pass from 3.7 s to
-1.4 s; dense random classes find their dimension within the budget and test
-the same sets as before.
+is the witness.  The exponential and graph searches test sizes downward.  DS
+and Natarajan shattering are closed under taking subsets (pseudo-cubes
+project to pseudo-cubes), so their searches probe sizes upward instead and
+stop at the first size with no hit.  The least d that the sharp Sauer bound
+|H| <= sum_{i<=d} C(n,i) (k-ell)^i ell^(n-i) allows is a lower bound L on the
+DS dimension; the probe starts at L+1 and goes downward from L only when size
+L+1 has no hit, so L orders the work but does not decide the answer.  They
+also leave out every coordinate that takes at most ell values, which is in no
+shattered set.
 
 The DS search asks of each coordinate set S whether proj_S(H) contains an
 (ell+1)-pseudo-cube, and a cube-mask kernel answers it.  The kernel lays the
@@ -146,92 +140,56 @@ def _preconditions(h, ell: int, degenerate: str | None = None) -> bool:
     return True
 
 
-def _search(n: int, size: int, base: int, shattered,
+def _first(coords, d: int, shattered) -> DimensionResult | None:
+    """The first d-subset of ``coords``, in ``combinations`` order, that
+    ``shattered`` maps to a structure, not None; None when there is none."""
+    for s in combinations(coords, d):
+        found = shattered(s)
+        if found is not None:
+            return DimensionResult(d, s, found)
+    return None
+
+
+def _search(coords, size: int, base: int, shattered,
             zero: DimensionResult = DimensionResult(0, ()),
             lower: int | None = None) -> DimensionResult:
-    """Sizes d from the largest with base^d <= size (a shattered d-set forces
-    base^d distinct projected patterns) down to 1, each in ``combinations``
-    order; the first set that ``shattered`` maps to a structure, not None,
-    is the witness, so ties go to the lexicographically smallest set.
+    """The largest subset of ``coords`` (increasing) that ``shattered`` maps
+    to a structure, ties going to the first in ``combinations`` order, so to
+    the lexicographically smallest set; ``zero`` when there is none.  Sizes
+    run up to the largest d with base^d <= size: a shattered d-set forces
+    base^d distinct projected patterns.
 
-    With ``lower`` given, each tested set costs its size, and once the next
-    test would take the total past B = sum_{j=1}^{lower+1} j C(n,j), what an
-    ``_Upward`` search reads to reach size lower+1, that search joins in;
-    but only when refuting every size above ``lower`` downward would read
-    more than 2B, because a dimension of ``lower`` costs the two searches
-    up to B each.  From then on the side that has read less goes next: the
-    upward search finishes a size whenever that keeps it within the downward
-    total plus the pending test.  The downward search skips any set that has
-    an unshattered subset of the size the upward search last finished.  The
-    answer is the downward search's first hit, or the upward one's once it
-    meets an empty size or reaches the current downward size d, since every
-    size above d is refuted.
+    Without ``lower``, sizes are tried downward and the first hit is the
+    answer.  With ``lower``, sizes lower+1, lower+2, ... are probed upward,
+    each up to its first hit, and the answer is the hit of the last size
+    before the first empty one; if lower+1 is already empty, the downward
+    search runs from ``lower``.  This is exact because the shattering is
+    closed under subsets: every size up to the dimension has a hit, none
+    above it, and the first hit of the dimension's size is the downward
+    search's answer.  So ``lower`` only orders the work; a wrong one costs
+    time, never the answer.
 
     Only subset-closed shattering may pass ``lower``.  Exponential
     "shattering" is not: {(0,0),(0,1),(0,2),(0,3)} (n=2, k=4, ell=1) has 4
     patterns on (0, 1) but 1 < 2 on (0,).  ``graph_dimension`` stays
     downward too, so that the sets whose pivot search can raise
     ``CapExceeded`` under its per-set budget do not change."""
-    top = max(d for d in range(n + 1) if base ** d <= size)
-    budget = None
-    if lower is not None:
-        budget = sum(j * comb(n, j) for j in range(1, lower + 2))
-        if sum(j * comb(n, j) for j in range(lower + 1, top + 1)) <= 2 * budget:
-            budget = None
-    spent, up = 0, None
+    top = max(d for d in range(len(coords) + 1) if base ** d <= size)
+    if lower is not None and lower < top:
+        best = None
+        for d in range(lower + 1, top + 1):
+            hit = _first(coords, d, shattered)
+            if hit is None:
+                break
+            best = hit
+        if best is not None:
+            return best
+        top = lower
     for d in range(top, 0, -1):
-        if up is not None and up.size == d:
-            return up.result
-        for coords in combinations(range(n), d):
-            if budget is not None and spent + d > budget:
-                up = up or _Upward(n, shattered, zero)
-                while up.spent + up.next_cost <= spent + d:
-                    up.step()
-                    if up.done or up.size == d:
-                        return up.result
-                if any(s not in up.level for s in combinations(coords, up.size)):
-                    continue
-            spent += d
-            found = shattered(coords)
-            if found is not None:
-                return DimensionResult(d, coords, found)
+        hit = _first(coords, d, shattered)
+        if hit is not None:
+            return hit
     return zero
-
-
-class _Upward:
-    """Level-wise (Apriori) search for a subset-closed ``shattered``, one size
-    at a time: size j+1 tests, in lexicographic order, only the sets whose
-    j-subsets were all shattered.  ``result`` is the first shattered set of
-    the last finished size, the witness the downward search would find if
-    that size is the dimension; ``done`` is set when a size has none."""
-
-    def __init__(self, n: int, shattered, zero: DimensionResult):
-        self.n, self.shattered, self.result = n, shattered, zero
-        self.size, self.spent, self.done = 0, 0, False
-        self.level: dict[Coords, None] = {(): None}
-        self._plan()
-
-    def _plan(self) -> None:
-        j = self.size
-        self.candidates = [s + (c,) for s in self.level
-                           for c in range(s[-1] + 1 if s else 0, self.n)
-                           if all(s[:i] + s[i + 1:] + (c,) in self.level for i in range(j))]
-        self.next_cost = (j + 1) * len(self.candidates)
-
-    def step(self) -> None:
-        nxt: dict[Coords, None] = {}
-        for coords in self.candidates:
-            found = self.shattered(coords)
-            if found is not None:
-                if not nxt:
-                    first = DimensionResult(len(coords), coords, found)
-                nxt[coords] = None
-        self.spent += self.next_cost
-        if not nxt:
-            self.done = True
-            return
-        self.size, self.level, self.result = self.size + 1, nxt, first
-        self._plan()
 
 
 def _sauer_lower(n: int, k: int, ell: int, size: int) -> int:
@@ -245,6 +203,14 @@ def _sauer_lower(n: int, k: int, ell: int, size: int) -> int:
         if total >= size:
             return e
     return n
+
+
+def _live(cols, ell: int) -> list[int]:
+    """The coordinates whose column takes more than ell values.  A line along
+    a coordinate with at most ell values holds at most ell patterns, so no set
+    holding one is DS or Natarajan shattered, and leaving it out keeps the
+    lexicographic order of every other set."""
+    return [c for c, col in enumerate(cols) if len(set(col)) > ell]
 
 
 def ds_shattered(h: HypothesisClass, coords: Coords, ell: int):
@@ -325,10 +291,9 @@ def _cube_core(cells: int, k: int, zero: tuple[int, ...], m: int) -> int:
 def ds_dimension(h: HypothesisClass, ell: int) -> DimensionResult:
     """Largest coordinate set whose projection contains an (ell+1)-pseudo-cube.
 
-    Searches subset sizes downward from min(n, log_{ell+1}|H|), joined where
-    it pays by a level-wise search once the Sauer budget is spent; ties
-    among witnesses break toward the lexicographically smallest coordinate
-    set.
+    Probes subset sizes of the live coordinates upward from the Sauer lower
+    bound (see ``_search``); ties among witnesses break toward the
+    lexicographically smallest coordinate set.
 
     The cube-mask kernel (``_cube_core``) answers the search for a d-set while
     k^d <= 1024 |H|, and ``ds_shattered``, the heap, above that.  The heap
@@ -351,7 +316,7 @@ def ds_dimension(h: HypothesisClass, ell: int) -> DimensionResult:
             zero[d] = _digit_zero(k, d)
         return _cube_core(_cube_mask(cols, coords, k), k, zero[d], ell + 1) or None
 
-    res = _search(h.n, len(h), ell + 1, shattered,
+    res = _search(_live(cols, ell), len(h), ell + 1, shattered,
                   lower=_sauer_lower(h.n, h.k, ell, len(h)))
     if not res.value:
         return res
@@ -397,7 +362,7 @@ def natarajan_dimension(h: HypothesisClass, ell: int) -> DimensionResult:
     """Largest coordinate set whose projection contains an (ell+1)-cube."""
     if _preconditions(h, ell, ""):
         return DimensionResult(0, ())
-    return _search(h.n, len(h), ell + 1,
+    return _search(_live(zip(*h.patterns), ell), len(h), ell + 1,
                    lambda coords: natarajan_shattered(h, coords, ell),
                    lower=_sauer_lower(h.n, h.k, ell, len(h)))
 
@@ -415,7 +380,7 @@ def exponential_dimension(h: HypothesisClass, ell: int) -> DimensionResult:
         found = len(set(zip(*[cols[c] for c in coords])))
         return found if found >= (ell + 1) ** len(coords) else None
 
-    return _search(h.n, len(h), ell + 1, count, DimensionResult(0, (), 1))
+    return _search(range(h.n), len(h), ell + 1, count, DimensionResult(0, (), 1))
 
 
 # ---------------------------------------------------------------------------
@@ -497,4 +462,4 @@ def graph_dimension(c: ListClass, budget: int = GRAPH_DIM_BUDGET) -> DimensionRe
     ``graph_shattered`` starts from the full budget, so the total work of the
     search is not bounded by it."""
     _preconditions(c, c.ell)
-    return _search(c.n, len(c), 2, lambda coords: graph_shattered(c, coords, budget))
+    return _search(range(c.n), len(c), 2, lambda coords: graph_shattered(c, coords, budget))

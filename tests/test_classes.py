@@ -1,10 +1,12 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from pseudocube import (CapExceeded, ClassFormatError, HypothesisClass,
                         parse_class, parse_class_json, project, random_class,
                         serialize_class, serialize_class_json)
-from pseudocube.classes import lines
+from pseudocube.classes import iter_all_classes, lines
 
 
 def make(n, k, pats):
@@ -155,6 +157,23 @@ class TestRandomClass:
             random_class(2, 3, 1.5, seed=0)
         with pytest.raises(ValueError):
             random_class(2, 3, -0.1, seed=0)
+
+
+class TestIterAllClasses:
+    def test_cap_is_checked_before_the_cells_are_built(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapExceeded, match=r"^2\^\(k\^n\) = 2\^531441 exceeds cap 16777216$"):
+                next(iter_all_classes(12, 3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
+    def test_cap_boundary(self):
+        assert sum(1 for _ in iter_all_classes(2, 2, cap=2 ** 4)) == 15
+        with pytest.raises(CapExceeded, match=r"2\^4 exceeds cap 15"):
+            next(iter_all_classes(2, 2, cap=2 ** 4 - 1))
 
 
 # property tests: round trips and projection laws on arbitrary small classes

@@ -353,6 +353,8 @@ def test_verify_appendix_rejects_ell_outside_one_to_k(capsys, ell):
     (["verify", "sauer", "--input", "{three_k3}", "--ell", "3"], "need 1 <= ell < k, got ell=3, k=3"),
     (["verify", "sauer", "--input", "{three_k3}", "--ell", "0"], "need 1 <= ell < k, got ell=0, k=3"),
     (["verify", "sauer", "--input", "{empty}"], "cannot verify bounds for the empty class"),
+    (["verify", "sauer", "--input", "{three_k3}", "--d", "2"],
+     "claimed dimension 2 differs from computed 1"),
 ])
 def test_verify_rejects_bad_parameters_before_the_header(capsys, three_k3, tmp_path, argv,
                                                         message):
@@ -363,6 +365,21 @@ def test_verify_rejects_bad_parameters_before_the_header(capsys, three_k3, tmp_p
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert message in captured.err
+
+
+def test_verify_sauer_bound_violation_on_one_input_exits_1(capsys, three_k3, monkeypatch):
+    from pseudocube import cli
+    from pseudocube.bounds import BoundReport, BoundViolation
+    report = BoundReport(class_size=3, ds_bound=2, nat_bound=2, d_used=1, ell=1,
+                         holds=False, slack=-1)
+
+    def violated(h, ell, claimed_d=None):
+        raise BoundViolation(report)
+    monkeypatch.setattr(cli, "verify_sauer", violated)
+    code = main(["verify", "sauer", "--input", three_k3])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert "VERIFICATION FAILURE: size 3 exceeds bound 2" in captured.err
 
 
 @pytest.mark.parametrize("ell, tail", [

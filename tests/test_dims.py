@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -175,7 +176,7 @@ class TestCubeKernel:
 
     @staticmethod
     def heap_search(h, ell):
-        return dims._search(h.n, len(h), ell + 1, lambda s: ds_shattered(h, s, ell),
+        return dims._search(range(h.n), len(h), ell + 1, lambda s: ds_shattered(h, s, ell),
                             lower=dims._sauer_lower(h.n, h.k, ell, len(h)))
 
     def test_same_result_as_the_heap_search_below_the_crossover(self):
@@ -388,25 +389,18 @@ class TestTieBreak:
         rng.shuffle(order)
         return make(h.n, h.k, [tuple(p[i] for i in order) for p in h.patterns])
 
-    def test_upward_phase_matches_the_brute_walk(self, monkeypatch):
-        """Where the downward search hands over to the level-wise one, the
-        value, witness and structure still match the brute walk, and each
-        size tests, in lexicographic order, only sets whose one-smaller
-        subsets were all shattered."""
-        searches = []
+    @staticmethod
+    def assert_matches_the_brute_walk(corpus):
+        for h, ell in corpus:
+            for dimension, predicate in ((ds_dimension, ds_shattered),
+                                         (natarajan_dimension, natarajan_shattered)):
+                res = dimension(h, ell)
+                expected = first_shattered(h.n, lambda s: predicate(h, s, ell))
+                assert (res.value, res.witness, res.witness_structure) == expected, (h, ell)
 
-        class Recording(dims._Upward):
-            def __init__(self, n, shattered, zero):
-                self.tested = []
-
-                def logged(coords):
-                    found = shattered(coords)
-                    self.tested.append((coords, found is not None))
-                    return found
-                searches.append(self)
-                super().__init__(n, logged, zero)
-
-        monkeypatch.setattr(dims, "_Upward", Recording)
+    def test_probe_matches_the_brute_walk(self):
+        """Where the probe runs upward from the Sauer lower bound, the value,
+        witness and structure still match the brute walk."""
         rng = random.Random(8)
         corpus = [(self.permuted(extremal_class(n, 3, ell, d), rng), ell)
                   for n in range(5, 9) for ell in (1, 2) for d in (1, 2)]
@@ -418,30 +412,89 @@ class TestTieBreak:
                                       + random_corpus(10, 5, 4, 0.1, seed0=6600)
                                       + random_corpus(4, 5, 4, 0.5, seed0=6700))
                    for ell in range(1, h.k)]
-        answered_downward = 0
-        for h, ell in corpus:
-            for dimension, predicate in ((ds_dimension, ds_shattered),
-                                         (natarajan_dimension, natarajan_shattered)):
-                before = len(searches)
-                res = dimension(h, ell)
-                expected = first_shattered(h.n, lambda s: predicate(h, s, ell))
-                assert (res.value, res.witness, res.witness_structure) == expected, (h, ell)
-                answered_downward += any(up.size < res.value for up in searches[before:])
-        assert len(searches) >= len(corpus) and answered_downward
-        for up in searches:
-            hits = {s for s, ok in up.tested if ok}
-            order = [(len(s), s) for s, _ in up.tested]
-            assert order == sorted(set(order))
-            assert all(s[:i] + s[i + 1:] in hits
-                       for s, _ in up.tested if len(s) > 1 for i in range(len(s)))
+        self.assert_matches_the_brute_walk(corpus)
 
     def test_exponential_shattering_is_not_subset_closed(self):
-        """Why exponential_dimension never hands over: its witness (0, 1) has a
+        """Why exponential_dimension never probes upward: its witness (0, 1) has a
         subset (0,) with fewer than ell+1 = 2 projected patterns."""
         h = make(2, 4, [(0, 0), (0, 1), (0, 2), (0, 3)])
         res = exponential_dimension(h, 1)
         assert (res.value, res.witness) == (2, (0, 1))
         assert len(project(h, (0,))) == 1
+
+
+
+class TestProbe:
+    """The DS and Natarajan searches probe sizes upward from the Sauer lower
+    bound over the coordinates that take more than ell values."""
+
+    @staticmethod
+    def chain_times_cube(m, d, k):
+        chain = [(1,) * j + (0,) * (m - j) for j in range(m + 1)]
+        return make(m + d, k, [c + q for c in chain
+                               for q in itertools.product(range(k), repeat=d)])
+
+    @staticmethod
+    def record_tests(monkeypatch):
+        """Every coordinate set the dimension searches test, in order."""
+        tested = []
+        search = dims._search
+
+        def recording(coords, size, base, shattered, *args, **kwargs):
+            def logged(s):
+                tested.append(s)
+                return shattered(s)
+            return search(coords, size, base, logged, *args, **kwargs)
+        monkeypatch.setattr(dims, "_search", recording)
+        return tested
+
+    def test_matches_the_brute_walk_where_the_dimension_is_far_from_the_bound(self):
+        """A chain times a cube, constant coordinates placed first, and dense
+        classes whose dimension is far above the Sauer lower bound."""
+        rng = random.Random(12)
+        corpus = [(self.chain_times_cube(m, d, 3), ell)
+                  for m, d in ((3, 2), (4, 2), (3, 3)) for ell in (1, 2)]
+        corpus += [(TestTieBreak.permuted(self.chain_times_cube(4, 2, 3), rng), 1)]
+        corpus += [(make(c + n, 3, [(0,) * c + p for p in extremal_class(n, 3, ell, d).patterns]),
+                    ell)
+                   for c in (1, 3) for n, d in ((4, 1), (4, 2)) for ell in (1, 2)]
+        corpus += [(random_class(7, 4, 0.4, 0), 3), (random_class(6, 3, 0.7, 1), 1)]
+        assert dims._sauer_lower(7, 4, 3, len(corpus[-2][0])) == 1
+        assert ds_dimension(*corpus[-2]).value == 5
+        TestTieBreak.assert_matches_the_brute_walk(corpus)
+
+    @pytest.mark.parametrize("n, ell, d", [(n, 1, 1) for n in range(9, 13)]
+                             + [(6, 2, 1), (6, 2, 2), (7, 2, 1)])
+    def test_a_sparse_search_tests_each_set_one_past_the_bound_and_one_more(
+            self, monkeypatch, n, ell, d):
+        """On a permuted extremal class, whose DS dimension is its Sauer lower
+        bound L = d, the search refutes every (L+1)-set and stops at the
+        first L-set."""
+        h = TestTieBreak.permuted(extremal_class(n, 3, ell, d), random.Random(n))
+        tested = self.record_tests(monkeypatch)
+        res = ds_dimension(h, ell)
+        assert res.value == dims._sauer_lower(n, 3, ell, len(h)) == d
+        assert len(tested) == math.comb(n, d + 1) + 1
+        assert tested[-1] == res.witness == tuple(range(d))
+
+    def test_no_tested_set_holds_a_coordinate_with_at_most_ell_values(self, monkeypatch):
+        rng = random.Random(13)
+        corpus = [TestTieBreak.permuted(make(n + 2, 3, [p + (0, v) for p in
+                                                      extremal_class(n, 3, 1, d).patterns
+                                                      for v in (0, 1)]), rng)
+                  for n in (4, 5) for d in (1, 2)]
+        corpus += [self.chain_times_cube(3, 2, 3)] + random_corpus(6, 5, 3, 0.1, seed0=13)
+        tested = self.record_tests(monkeypatch)
+        dead = {1: 0, 2: 0}
+        for h in corpus:
+            cols = list(zip(*h.patterns))
+            for ell in (1, 2):
+                dead[ell] += any(len(set(col)) <= ell for col in cols)
+                for dimension in (ds_dimension, natarajan_dimension):
+                    tested.clear()
+                    dimension(h, ell)
+                    assert tested and all(len(set(cols[c])) > ell for s in tested for c in s)
+        assert dead == {1: 4, 2: 5}
 
 
 def test_shifting_can_raise_the_ds_dimension():
