@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from itertools import combinations, product
 from math import comb
 from typing import Iterator, NamedTuple
 
@@ -54,18 +55,12 @@ def iter_bounded_high_vectors(n: int, k: int, ell: int, d: int) -> Iterator[Patt
     """All vectors in {0..k-1}^n with at most d coordinates >= ell, in
     lexicographic order.  Shared by the extremal class and the monomial
     basis, which have identical index sets."""
-    def rec(prefix: list[int], budget: int):
-        if len(prefix) == n:
-            yield tuple(prefix)
-            return
-        for v in range(k):
-            if v >= ell:
-                if budget == 0:
-                    continue
-                yield from rec(prefix + [v], budget - 1)
-            else:
-                yield from rec(prefix + [v], budget)
-    yield from rec([], d)
+    yield from sorted(
+        vector
+        for r in range(d + 1)
+        for high in combinations(range(n), r)
+        for vector in product(*(range(ell, k) if i in high else range(ell)
+                                for i in range(n))))
 
 
 def extremal_class(n: int, k: int, ell: int, d: int,

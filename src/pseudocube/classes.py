@@ -15,6 +15,7 @@ import json
 import random
 from collections import defaultdict
 from dataclasses import dataclass
+from itertools import product
 from typing import Iterable, Iterator, Sequence
 
 Pattern = tuple[int, ...]
@@ -127,22 +128,8 @@ def random_class(n: int, k: int, density: float, seed: int,
     if total > cap:
         raise CapExceeded(f"k^n = {total} exceeds enumeration cap {cap}")
     rng = random.Random(seed)
-    chosen = [p for p in _iter_cube(n, k) if rng.random() < density]
+    chosen = [p for p in product(range(k), repeat=n) if rng.random() < density]
     return HypothesisClass(n, k, frozenset(chosen))
-
-
-def _iter_cube(n: int, k: int) -> Iterator[Pattern]:
-    """All of {0,...,k-1}^n in lexicographic order."""
-    p = [0] * n
-    while True:
-        yield tuple(p)
-        i = n - 1
-        while i >= 0 and p[i] == k - 1:
-            p[i] = 0
-            i -= 1
-        if i < 0:
-            return
-        p[i] += 1
 
 
 def iter_all_classes(n: int, k: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Iterator[HypothesisClass]:
@@ -154,7 +141,7 @@ def iter_all_classes(n: int, k: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Iter
     # k^n >= cap.bit_length() is 2^(k^n) > cap, checked before any cell is built
     if k ** n >= cap.bit_length():
         raise CapExceeded(f"2^(k^n) = 2^{k ** n} exceeds cap {cap}")
-    cells = list(_iter_cube(n, k))
+    cells = list(product(range(k), repeat=n))
     for mask in range(1, 2 ** len(cells)):
         pats = [cells[j] for j in range(len(cells)) if mask >> j & 1]
         yield HypothesisClass(n, k, frozenset(pats))

@@ -45,7 +45,6 @@ import warnings
 from collections import defaultdict, deque
 from dataclasses import dataclass
 from itertools import combinations, product, repeat
-from math import comb
 from operator import add, mul
 from typing import Iterable
 
@@ -193,16 +192,11 @@ def _search(coords, size: int, base: int, shattered,
 
 
 def _sauer_lower(n: int, k: int, ell: int, size: int) -> int:
-    """The least e with sum_{i<=e} C(n,i) (k-ell)^i ell^(n-i) >= size, a lower
-    bound on the DS dimension of a class of that size (the closed form of
-    ``bounds.ds_sauer_bound``, which cannot be imported here: ``bounds``
-    imports this module)."""
-    total = 0
-    for e in range(n + 1):
-        total += comb(n, e) * (k - ell) ** e * ell ** (n - e)
-        if total >= size:
-            return e
-    return n
+    """The least e with ``bounds.ds_sauer_bound(n, k, ell, e) >= size``, a
+    lower bound on the DS dimension of a class of that size; n when there is
+    none."""
+    from .bounds import ds_sauer_bound  # bounds imports this module
+    return next((e for e in range(n + 1) if ds_sauer_bound(n, k, ell, e) >= size), n)
 
 
 def _live(cols, ell: int) -> list[int]:

@@ -15,7 +15,10 @@ Two certificate styles are produced:
 Peeling orders (``peeling_order`` and every level of ``construct_q``) are the
 traces of the one peel engine, ``dims.max_pseudocube_core``, and the witness
 value sets are read from the one line index, ``classes.lines``.  The
-verifier re-scans neighbours on its own, so it shares neither.
+verifier re-scans neighbours on its own, so it shares neither.  Replay and
+verifier do share one basis rule, ``_in_basis``, which reads the definition
+of the bounded-high set, so neither enumerates the basis; only
+``spanning_certificate`` builds it, through ``monomial_set``.
 
 Every reported value is exact.  A minor of an integer matrix that is nonzero
 mod p is nonzero over Z, so the rank over GF(p) never exceeds the rank over Q;
@@ -83,6 +86,13 @@ def monomial_set(n: int, k: int, ell: int, d: int,
     return MonomialSet(n=n, k=k, ell=ell, d=d, exponents=exps)
 
 
+def _in_basis(exp: Pattern, n: int, k: int, ell: int, d: int) -> bool:
+    """Whether ``exp`` is in the monomial basis: n exponents in [0, k), at
+    most d of them >= ell."""
+    return (len(exp) == n and all(0 <= e < k for e in exp)
+            and sum(e >= ell for e in exp) <= d)
+
+
 # ---------------------------------------------------------------------------
 # Sparse rational polynomials with per-variable degree < k
 # ---------------------------------------------------------------------------
@@ -121,14 +131,6 @@ class RationalPolynomial:
             else:
                 total += value
         return Fraction(total, den)
-
-    def variable_degrees(self) -> tuple[int, ...]:
-        degs = [0] * self.n
-        for exp, _ in self.terms:
-            for i, e in enumerate(exp):
-                if e > degs[i]:
-                    degs[i] = e
-        return tuple(degs)
 
 
 def _poly_mul_univariate(poly: dict[Pattern, Fraction], var: int,
@@ -374,11 +376,10 @@ def construct_q(h: HypothesisClass, ell: int, d: int) -> Certificate:
         for j in range(i):
             if matrix[i][j] != 0:
                 raise AssertionError(f"entry ({i},{j}) is {matrix[i][j]}, expected 0")
-    allowed = set(monomial_set(h.n, h.k, ell, d).exponents)
-    for q in polys:
-        for exp, _ in q.terms:
-            if exp not in allowed:
-                raise AssertionError(f"monomial {exp} escapes the bounded-high basis")
+    # each distinct exponent once, in order of first use
+    for exp in dict.fromkeys(exp for q in polys for exp, _ in q.terms):
+        if not _in_basis(exp, h.n, h.k, ell, d):
+            raise AssertionError(f"monomial {exp} escapes the bounded-high basis")
     return Certificate(n=h.n, k=h.k, ell=ell, d=d, ordering=ordering,
                        witnesses=witnesses, q_polys=polys, eval_matrix=matrix)
 
@@ -582,8 +583,7 @@ def verify_certificate(cert: Certificate, h: HypothesisClass) -> VerifyReport:
             failures.append("polynomial count differs from ordering length")
         for s, q in enumerate(cert.q_polys):
             for exp, _ in q.terms:
-                if (len(exp) != h.n or not all(0 <= e < h.k for e in exp)
-                        or sum(e >= cert.ell for e in exp) > cert.d):
+                if not _in_basis(exp, h.n, h.k, cert.ell, cert.d):
                     failures.append(f"poly {s}: monomial {exp} outside the basis")
                     break
         for t, p in enumerate(cert.ordering):

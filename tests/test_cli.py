@@ -124,6 +124,20 @@ class TestCert:
         code, out = run(capsys, ["cert", "verify", "--cert", str(cert_path)])
         assert code == 0 and "ok=True" in out
 
+    def test_replay_and_verify_do_not_enumerate_the_basis(self, capsys, tmp_path):
+        # the bounded-high basis at n=52, k=2, ell=1, d=6 has 23,251,684
+        # monomials, above the enumeration cap; membership is checked per term
+        n = 52
+        path = tmp_path / "sparse.cls"
+        rows = ((0,) * n, (1,) + (0,) * (n - 1), (0, 1) + (0,) * (n - 2))
+        path.write_text(f"n={n} k=2\n" + "".join(" ".join(map(str, r)) + "\n" for r in rows))
+        cert_path = tmp_path / "cert.json"
+        code, _ = run(capsys, ["cert", "replay", "--input", str(path), "--ell", "1",
+                               "--d", "6", "--output", str(cert_path)])
+        assert code == 0
+        code, out = run(capsys, ["cert", "verify", "--cert", str(cert_path)])
+        assert code == 0 and "ok=True" in out
+
     def test_verify_rejects_foreign_class(self, capsys, three, tmp_path):
         cert_path = tmp_path / "cert.json"
         run(capsys, ["cert", "replay", "--input", three, "--ell", "1",

@@ -9,10 +9,11 @@ from hypothesis import given, settings, strategies as st
 from pseudocube import (ExperimentConfig, HypothesisClass, ListClass,
                         ListPredictor, RealizabilityError, build_oig, extremal_class,
                         graph_dimension, list_provider, loo_experiment,
-                        make_task, orient_minmax, pac_learn, population_error,
-                        predict_one_inclusion, uc_experiment,
-                        verify_projection_bound)
-from pseudocube.listlearn import pac_sample_plan, _draw_pairs, _trial_seed
+                        make_task, orient_minmax, outdegrees, pac_learn,
+                        population_error, predict_one_inclusion, project,
+                        random_class, uc_experiment, verify_projection_bound)
+from pseudocube.listlearn import (pac_sample_plan, _class_index, _draw_pairs, _predict,
+                                  _trial_seed)
 
 from oracles import (restriction_class, sample_realizable, slow_predict_one_inclusion,
                      slow_reduced_problem, version_space_lists)
@@ -231,6 +232,38 @@ def _outcome(predict, *args):
 @given(prediction_cases())
 def test_prediction_matches_slow_path(case):
     assert _outcome(predict_one_inclusion, *case) == _outcome(slow_predict_one_inclusion, *case)
+
+
+def test_leave_one_out_misses_equal_the_outdegree():
+    """The one-inclusion identity, exactly: over the m+1 distinct instances
+    S and a target h in H, the predictor trained on S minus x misses h(x)
+    exactly when the orientation of the one-inclusion graph of proj_S(H)
+    leaves h|S out of its direction-x edge.  So the misses over x in S equal
+    the outdegree of h|S, which is at most c*.  A wrong selection read or a
+    wrong star edge breaks the equality; a flow fault can pass it, because
+    both sides share the flow, and the oracle tests of the flow cover that."""
+    cells = ((extremal_class(8, 3, 1, 2), 1), (extremal_class(7, 3, 2, 2), 2),
+             (random_class(7, 3, 0.05, 11), 1), (random_class(6, 4, 0.03, 5), 2),
+             (extremal_class(10, 3, 1, 1), 1))
+    indexed = [(h, ell, _class_index(h), h.sorted_patterns()) for h, ell in cells]
+    rng = random.Random(2024)
+    oriented = 0
+    for _ in range(150):
+        h, ell, index, pats = rng.choice(indexed)
+        allowed = index.allowed([frozenset(range(h.k))] * h.n)
+        coords = sorted(rng.sample(range(h.n), rng.randint(2, min(7, h.n))))
+        target = rng.choice(pats)
+        misses = sum(target[x] not in _predict(index, allowed,
+                                               [(u, target[u]) for u in coords if u != x],
+                                               x, ell)
+                     for x in coords)
+        g = build_oig(project(h, coords))
+        sigma, cstar = orient_minmax(g, ell)
+        out = outdegrees(g, sigma)[tuple(target[u] for u in coords)]
+        assert misses == out <= cstar, (h.n, h.k, ell, coords, target)
+        oriented += out > 0
+    # the draws reach edges the orientation cuts, not only forced answers
+    assert oriented > 0
 
 
 class TestLooExperiment:

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,8 +23,7 @@ def make(n, k, pats):
 
 
 def full_cube(n, k):
-    from pseudocube.classes import _iter_cube
-    return HypothesisClass(n, k, frozenset(_iter_cube(n, k)))
+    return HypothesisClass(n, k, frozenset(product(range(k), repeat=n)))
 
 
 class TestBuildOig:

@@ -1,5 +1,6 @@
 import copy
 import json
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -62,7 +63,7 @@ class TestIndicatorPoly:
         for n, k in ((1, 5), (2, 4), (3, 3), (4, 2)):
             for h in product(range(k), repeat=n):
                 q = indicator_poly(h, k)
-                assert all(d <= k - 1 for d in q.variable_degrees())
+                assert all(e <= k - 1 for exp, _ in q.terms for e in exp)
                 for x in product(range(k), repeat=n):
                     assert q.evaluate(x) == (1 if x == h else 0)
 
@@ -265,10 +266,10 @@ class TestConstructQ:
         h = extremal_class(3, 3, 2, 1)
         cert = construct_q(h, 2, 1)
         for q, w in zip(cert.q_polys, cert.witnesses):
-            degs = q.variable_degrees()
-            assert all(dg < 3 for dg in degs)
+            assert all(e < 3 for exp, _ in q.terms for e in exp)
             if w is not None:
-                assert degs[w[0]] < 2  # correction factor degree stays below ell
+                # correction factor degree stays below ell
+                assert all(exp[w[0]] < 2 for exp, _ in q.terms)
 
     def test_support_within_monomial_set(self):
         h = extremal_class(2, 4, 2, 1)
@@ -283,6 +284,25 @@ class TestConstructQ:
             d = ds_dimension(h, ell).value
             cert = construct_q(h, ell, d)
             assert verify_certificate(cert, h).ok
+
+    def test_replay_and_verify_do_not_enumerate_the_basis(self, monkeypatch):
+        def no_enumeration(*args, **kwargs):
+            raise AssertionError("the monomial basis was enumerated")
+
+        monkeypatch.setattr(polycert, "monomial_set", no_enumeration)
+        for h, ell, d in ((extremal_class(3, 3, 2, 1), 2, 1),
+                          (extremal_class(4, 2, 1, 2), 1, 2), (THREE, 1, 1)):
+            cert = construct_q(h, ell, d)
+            assert verify_certificate(cert, h).ok
+
+    def test_verify_rejects_each_monomial_outside_the_basis(self):
+        cert = construct_q(THREE, 1, 1)
+        assert verify_certificate(cert, THREE).ok
+        # two high exponents at d=1, an exponent equal to k, the wrong length
+        for exp in ((1, 1), (2, 0), (0,), (0, 0, 0)):
+            bad = RationalPolynomial.from_dict(2, {exp: Fraction(1)})
+            rep = verify_certificate(replace(cert, q_polys=(bad,) + cert.q_polys[1:]), THREE)
+            assert "poly 0: monomial" in rep.failures[0] and "outside the basis" in rep.failures[0]
 
     def test_stuck_when_budget_below_dimension(self):
         cube = make(2, 2, [(a, b) for a in range(2) for b in range(2)])
