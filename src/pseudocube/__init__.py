@@ -13,9 +13,8 @@ from .dims import (DimensionResult, ListClass, PseudoCubeReport, ds_dimension,
                    is_pseudocube, max_pseudocube_core, natarajan_dimension,
                    natarajan_shattered)
 from .bounds import (AppendixReport, BoundReport, BoundViolation, appendix_check,
-                     bipartite_peel, build_extension_graph, ds_sauer_bound,
-                     extremal_class, natarajan_sauer_bound, turan_reference,
-                     verify_sauer)
+                     ds_sauer_bound, extremal_class, natarajan_sauer_bound,
+                     turan_reference, verify_sauer)
 from .oig import (DegreeStats, Edge, ListOrientation, OneInclusionGraph,
                   build_oig, degree_stats, is_downward_closed,
                   max_density_bruteforce, orient_minmax, outdegrees, shift,

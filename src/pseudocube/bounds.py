@@ -1,17 +1,22 @@
 """Closed-form Sauer-type size bounds, extremal generators, and the
-small-case combinatorial checks (acyclic extension graphs at ell = 1, and
-degree peeling for two-coordinate classes).
+small-case combinatorial check of acyclic extension graphs at ell = 1.
+
+The small cases run on the shared primitives.  The extension graph is read off
+the line index, ``classes.lines``.  The other small case, degree peeling of a
+two-coordinate class, is the heap peel: at n = 2 a line is a vertex of the
+bipartite graph and its size that vertex's degree, so the graph peels empty
+exactly when ``dims.max_pseudocube_core(h, ell + 1)`` is empty, which
+certifies |H| <= ell(2k - ell).
 
 All bound arithmetic is exact big-integer; no floating point enters here.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from itertools import combinations, product
 from math import comb
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .classes import (CapExceeded, DEFAULT_ENUMERATION_CAP, HypothesisClass, Pattern,
                       lines)
@@ -114,19 +119,8 @@ def verify_sauer(h: HypothesisClass, ell: int, claimed_d: int | None = None) -> 
 
 
 # ---------------------------------------------------------------------------
-# Extension graph (the d = ell = 1 combinatorial argument)
+# The small-case checks
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ExtensionGraph:
-    """Bipartite graph of a chosen coordinate: left vertices are the off-
-    coordinate prefixes with >= 2 extensions, right vertices the labels,
-    edges the class members through those prefixes."""
-
-    left: tuple[Pattern, ...]
-    right: tuple[int, ...]
-    edges: tuple[tuple[Pattern, int], ...]
-
 
 class AppendixReport(NamedTuple):
     acyclic: bool
@@ -134,38 +128,33 @@ class AppendixReport(NamedTuple):
     holds: bool
 
 
-def build_extension_graph(h: HypothesisClass, coordinate: int | None = None) -> ExtensionGraph:
-    """Group patterns by their values off ``coordinate`` (default: the last
-    one) and keep only prefixes extended by >= 2 labels."""
-    i = h.n - 1 if coordinate is None else coordinate
-    if not (0 <= i < h.n):
-        raise ValueError(f"coordinate {i} out of range [0,{h.n})")
-    extensions = {u: sorted(p[i] for p in members)
-                  for (_, u), members in lines(h.patterns, (i,)).items()}
-    left = tuple(sorted(u for u, exts in extensions.items() if len(exts) >= 2))
-    edges = tuple((u, a) for u in left for a in extensions[u])
-    return ExtensionGraph(left=left, right=tuple(range(h.k)), edges=edges)
-
-
 def appendix_check(h: HypothesisClass, coordinate: int | None = None) -> AppendixReport:
     """For a class of 1-DS dimension <= 1: the extension graph is acyclic and
     |H| <= 1 + n(k-1).
 
-    Raises if the dimension precondition fails.  The induction in the
-    underlying argument fixes the last coordinate; any other may be chosen.
+    The extension graph of a coordinate i (default: the last one) is read off
+    the line index in direction i: a left vertex per line with >= 2 patterns
+    (the values off i they share), a right vertex per label, and an edge from
+    each line to the label its patterns take at i.  Raises if the dimension
+    precondition fails.  The induction in the underlying argument fixes the
+    last coordinate; any other may be chosen.
     """
     if h.is_empty:
         raise ValueError("cannot check the empty class")
     d = ds_dimension(h, 1).value
     if d > 1:
         raise ValueError(f"precondition violated: 1-DS dimension is {d} > 1")
-    graph = build_extension_graph(h, coordinate)
-    acyclic = _is_acyclic(graph)
+    i = h.n - 1 if coordinate is None else coordinate
+    if not (0 <= i < h.n):
+        raise ValueError(f"coordinate {i} out of range [0,{h.n})")
+    edges = ((u, p[i]) for (_, u), members in lines(h.patterns, (i,)).items()
+             if len(members) >= 2 for p in members)
     bound = 1 + h.n * (h.k - 1)
-    return AppendixReport(acyclic=acyclic, bound=bound, holds=len(h) <= bound)
+    return AppendixReport(acyclic=_is_acyclic(edges), bound=bound, holds=len(h) <= bound)
 
 
-def _is_acyclic(graph: ExtensionGraph) -> bool:
+def _is_acyclic(edges: Iterable[tuple[object, int]]) -> bool:
+    """Is the bipartite graph with these (left, right) edges a forest?"""
     parent: dict[object, object] = {}
 
     def find(x):
@@ -174,7 +163,7 @@ def _is_acyclic(graph: ExtensionGraph) -> bool:
             x = parent[x]
         return x
 
-    for u, a in graph.edges:
+    for u, a in edges:
         ru, ra = find(("L", u)), find(("R", a))
         if ru == ra:
             return False
@@ -182,62 +171,10 @@ def _is_acyclic(graph: ExtensionGraph) -> bool:
     return True
 
 
-# ---------------------------------------------------------------------------
-# Two-coordinate degree peeling
-# ---------------------------------------------------------------------------
-
-class PeelReport(NamedTuple):
-    edges_removed: int
-    success: bool
-    order: tuple[tuple[int, int], ...]
-
-
 def turan_reference(k: int, ell: int) -> float:
     """The k^(2 - 1/(ell+1)) edge-count scale for two-coordinate classes
     avoiding a complete (ell+1) x (ell+1) product.  Descriptive only: it is
-    reported next to peel results but never asserted, since its tightness
-    beyond small ell is an open problem."""
+    reported next to the largest class whose bipartite graph peels empty, read
+    from the heap as an empty (ell+1)-core, but never asserted, since its
+    tightness beyond small ell is an open problem."""
     return float(k) ** (2.0 - 1.0 / (ell + 1))
-
-
-def bipartite_peel(h: HypothesisClass, ell: int) -> PeelReport:
-    """View an n=2 class as a bipartite graph (coordinate 0 on the left,
-    coordinate 1 on the right, patterns as edges) and repeatedly peel a
-    vertex of degree <= ell.
-
-    Success (the graph empties) is equivalent to the class containing no
-    (ell+1)-pseudo-cube, and certifies |H| <= ell(2k - ell).  The order lists
-    peeled vertices as (side, value) with side 0 = left.
-    """
-    if h.n != 2:
-        raise ValueError(f"degree peeling needs n=2, got n={h.n}")
-    if ell < 1:
-        raise ValueError(f"ell must be >= 1, got {ell}")
-    adj: dict[tuple[int, int], set[Pattern]] = {}
-    for (a, b) in h.patterns:
-        adj.setdefault((0, a), set()).add((a, b))
-        adj.setdefault((1, b), set()).add((a, b))
-    alive_edges = set(h.patterns)
-    order: list[tuple[int, int]] = []
-    peeled: set[tuple[int, int]] = set()
-    heap = [v for v, edges in adj.items() if len(edges) <= ell]
-    heapq.heapify(heap)
-    while heap:
-        v = heapq.heappop(heap)
-        if v in peeled:
-            continue
-        # degrees only drop, so v is still peelable
-        peeled.add(v)
-        order.append(v)
-        for edge in list(adj[v]):
-            alive_edges.discard(edge)
-            a, b = edge
-            for w in ((0, a), (1, b)):
-                if w != v:
-                    adj[w].discard(edge)
-                    if len(adj[w]) == ell and w not in peeled:
-                        heapq.heappush(heap, w)
-        adj[v].clear()
-    return PeelReport(edges_removed=len(h) - len(alive_edges),
-                      success=not alive_edges,
-                      order=tuple(order))

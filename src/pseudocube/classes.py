@@ -120,6 +120,16 @@ def random_class(n: int, k: int, density: float, seed: int,
     Deterministic: the same seed yields the identical class.  density=1 gives
     the full cube, density=0 the (flagged) empty class.
     """
+    _check_random_class(n, k, density, cap)
+    rng = random.Random(seed)
+    chosen = [p for p in product(range(k), repeat=n) if rng.random() < density]
+    return HypothesisClass(n, k, frozenset(chosen))
+
+
+def _check_random_class(n: int, k: int, density: float,
+                        cap: int = DEFAULT_ENUMERATION_CAP) -> None:
+    """The preconditions of ``random_class``, for callers that must reject
+    bad parameters before drawing anything."""
     if n < 1 or k < 2:
         raise ValueError("need n >= 1 and k >= 2")
     if not (0.0 <= density <= 1.0):
@@ -127,24 +137,22 @@ def random_class(n: int, k: int, density: float, seed: int,
     total = k ** n
     if total > cap:
         raise CapExceeded(f"k^n = {total} exceeds enumeration cap {cap}")
-    rng = random.Random(seed)
-    chosen = [p for p in product(range(k), repeat=n) if rng.random() < density]
-    return HypothesisClass(n, k, frozenset(chosen))
 
 
 def iter_all_classes(n: int, k: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Iterator[HypothesisClass]:
     """Every nonempty class over {0..k-1}^n, enumerated deterministically.
 
     There are 2^(k^n) - 1 of them; the bitmask of the lexicographic cell list
-    runs from 1 upward.  Intended for exhaustive sweeps at tiny (n, k).
+    runs from 1 upward.  Intended for exhaustive sweeps at tiny (n, k).  The
+    cap is checked when this is called, not at the first ``next()``.
     """
     # k^n >= cap.bit_length() is 2^(k^n) > cap, checked before any cell is built
     if k ** n >= cap.bit_length():
         raise CapExceeded(f"2^(k^n) = 2^{k ** n} exceeds cap {cap}")
     cells = list(product(range(k), repeat=n))
-    for mask in range(1, 2 ** len(cells)):
-        pats = [cells[j] for j in range(len(cells)) if mask >> j & 1]
-        yield HypothesisClass(n, k, frozenset(pats))
+    return (HypothesisClass(n, k, frozenset([cells[j] for j in range(len(cells))
+                                             if mask >> j & 1]))
+            for mask in range(1, 2 ** len(cells)))
 
 
 # ---------------------------------------------------------------------------

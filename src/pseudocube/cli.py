@@ -18,16 +18,16 @@ from fractions import Fraction
 
 from . import __version__
 from .classes import (CapExceeded, ClassFormatError, DEFAULT_ENUMERATION_CAP,
-                      HypothesisClass, iter_all_classes, parse_class,
-                      random_class, serialize_class, serialize_class_json)
-from .dims import (ListClass, ds_dimension, exponential_dimension,
+                      HypothesisClass, _check_random_class, iter_all_classes,
+                      parse_class, random_class, serialize_class,
+                      serialize_class_json)
+from .dims import (GRAPH_DIM_BUDGET, ListClass, ds_dimension, exponential_dimension,
                    graph_dimension, max_pseudocube_core, natarajan_dimension)
-from .bounds import (BoundViolation, appendix_check, bipartite_peel,
-                     ds_sauer_bound, extremal_class, natarajan_sauer_bound,
-                     turan_reference, verify_sauer)
-from .oig import (build_oig, degree_stats, format_orientation, is_downward_closed,
-                  max_density_bruteforce, orient_minmax, outdegrees, shift,
-                  shift_fixed_point)
+from .bounds import (BoundViolation, appendix_check, ds_sauer_bound, extremal_class,
+                     natarajan_sauer_bound, turan_reference, verify_sauer)
+from .oig import (DENSITY_BRUTEFORCE_CAP, build_oig, degree_stats, format_orientation,
+                  is_downward_closed, max_density_bruteforce, orient_minmax,
+                  outdegrees, shift, shift_fixed_point)
 from .polycert import (PeelingError, construct_q, load_certificate,
                        serialize_certificate, spanning_certificate,
                        verify_certificate)
@@ -335,11 +335,13 @@ def _cmd_verify(args, out) -> int:
     k = h.k if single else args.k
     if (single or args.target == "appendix") and not 1 <= args.ell < k:
         raise ValueError(f"need 1 <= ell < k, got ell={args.ell}, k={k}")
-    if args.target in ("shiftlaws", "corollary") and not 0.0 <= args.density <= 1.0:
-        raise ValueError(f"density must lie in [0,1], got {args.density}")
-    if single:
+    if args.target in ("shiftlaws", "corollary"):
+        _check_random_class(args.n, args.k, args.density)
+    elif single:
         # a wrong claimed d is known only once the dimension is computed
         verify_sauer(h, args.ell, claimed_d=args.d)
+    else:
+        grid = iter_all_classes(args.n, args.k)
     _emit(out, _header(args, "verify"))
     failures = 0
     if args.target == "sauer":
@@ -347,7 +349,7 @@ def _cmd_verify(args, out) -> int:
             _emit(out, "sauer: ok")
         else:
             count = 0
-            for h in iter_all_classes(args.n, args.k):
+            for h in grid:
                 for ell in range(1, args.k):
                     verify_sauer(h, ell)
                     count += 1
@@ -387,17 +389,14 @@ def _cmd_verify(args, out) -> int:
     else:
         checked = 0
         max_success_size = 0
-        for h in iter_all_classes(args.n, args.k):
+        for h in grid:
             if args.n == 2:
+                # degree peeling empties the bipartite graph iff the core is empty
                 for ell in range(1, args.k):
-                    peel = bipartite_peel(h, ell)
-                    core_empty = max_pseudocube_core(h, ell + 1).core.is_empty
-                    ok = peel.success == core_empty
-                    if peel.success:
-                        ok = ok and len(h) <= ell * (2 * args.k - ell)
+                    if max_pseudocube_core(h, ell + 1).core.is_empty:
+                        failures += len(h) > ell * (2 * args.k - ell)
                         if ell == args.ell:
                             max_success_size = max(max_success_size, len(h))
-                    failures += not ok
                     checked += 1
             if ds_dimension(h, 1).value <= 1:
                 rep = appendix_check(h)
@@ -432,7 +431,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dim", help="compute a dimension of a class")
     p.add_argument("kind", choices=("ds", "nat", "exp", "graph"))
     common(p)
-    p.add_argument("--cap", type=int, default=2 ** 22,
+    p.add_argument("--cap", type=int, default=GRAPH_DIM_BUDGET,
                    help="graph dimension: pivot-search budget for each coordinate "
                         "set (reset per set, not a total)")
     p.set_defaults(func=_cmd_dim)
@@ -461,7 +460,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("action", choices=("stats", "shift", "fixpoint", "orient", "density"))
     common(p)
     p.add_argument("--dir", type=int, default=0)
-    p.add_argument("--cap", type=int, default=14)
+    p.add_argument("--cap", type=int, default=DENSITY_BRUTEFORCE_CAP)
     p.set_defaults(func=_cmd_oig)
 
     p = sub.add_parser("cert", help="size-bound certificates")

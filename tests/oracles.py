@@ -44,6 +44,23 @@ def brute_contains_pseudocube(p: HypothesisClass, m: int) -> bool:
     return False
 
 
+def degree_peel_empties(h: HypothesisClass, ell: int) -> bool:
+    """View an n=2 class as a bipartite graph (coordinate 0 on the left,
+    coordinate 1 on the right, patterns as edges) and delete every vertex of
+    degree <= ell, round after round.  True iff the graph empties, which
+    certifies |H| <= ell(2k - ell)."""
+    if h.n != 2:
+        raise ValueError(f"degree peeling needs n=2, got n={h.n}")
+    edges = set(h.patterns)
+    while edges:
+        degree = Counter((side, p[side]) for p in edges for side in (0, 1))
+        low = {v for v, deg in degree.items() if deg <= ell}
+        if not low:
+            return False
+        edges = {p for p in edges if (0, p[0]) not in low and (1, p[1]) not in low}
+    return True
+
+
 def brute_ds_dimension(h: HypothesisClass, ell: int) -> int:
     """DS dimension straight from the definition: largest coordinate subset
     whose projection has a subset that is an (ell+1)-pseudo-cube."""

@@ -13,7 +13,7 @@ import pseudocube as pc
 from pseudocube.listlearn import ExperimentConfig, pac_sample_plan
 
 from conftest import all_classes, random_corpus
-from oracles import brute_min_max_outdegree, max_flow_value
+from oracles import brute_min_max_outdegree, degree_peel_empties, max_flow_value
 
 
 def report(num, name, ok, detail=""):
@@ -156,8 +156,8 @@ def test_07_corollary():
 def test_08_appendix():
     """Every ell=1, DS <= 1 class in the exhaustive sweep has an acyclic
     extension graph and size <= 1 + n(k-1); every two-coordinate class up to
-    k=4 peels empty exactly when its core is empty, and peeling success
-    certifies size <= ell(2k - ell).  Exact."""
+    k=4 peels empty vertex by vertex (the oracle) exactly when its heap core
+    is empty, and peeling success certifies size <= ell(2k - ell).  Exact."""
     ok = True
     appendix_cases = 0
     for h in all_classes(2, 3):
@@ -169,10 +169,10 @@ def test_08_appendix():
     for k in (2, 3, 4):
         for h in all_classes(2, k):
             for ell in range(1, k):
-                peel = pc.bipartite_peel(h, ell)
+                success = degree_peel_empties(h, ell)
                 core_empty = pc.max_pseudocube_core(h, ell + 1).core.is_empty
-                ok &= peel.success == core_empty
-                if peel.success:
+                ok &= success == core_empty
+                if success:
                     ok &= len(h) <= ell * (2 * k - ell)
                 peel_cases += 1
     report(8, "acyclic extension + degree peeling", ok,

@@ -1,11 +1,12 @@
 import pytest
 
-from pseudocube import (HypothesisClass, appendix_check, bipartite_peel,
-                        build_extension_graph, ds_dimension, ds_sauer_bound,
-                        extremal_class, max_pseudocube_core,
-                        natarajan_sauer_bound, verify_sauer)
+from pseudocube import (HypothesisClass, appendix_check, ds_dimension, ds_sauer_bound,
+                        extremal_class, max_pseudocube_core, natarajan_sauer_bound,
+                        verify_sauer)
+from pseudocube.bounds import _is_acyclic
 
 from conftest import all_classes, random_corpus
+from oracles import degree_peel_empties
 
 PAPER_CYCLE = HypothesisClass.from_patterns(
     2, 7, [(1, 2), (3, 2), (3, 4), (5, 4), (5, 6), (1, 6)])
@@ -132,42 +133,44 @@ class TestAppendixCheck:
             rep = appendix_check(h, coordinate=i)
             assert rep.acyclic and rep.holds
 
-    def test_extension_graph_left_vertices_have_degree_two(self):
-        g = build_extension_graph(extremal_class(3, 3, 1, 1))
-        from collections import Counter
-        degrees = Counter(u for u, _ in g.edges)
-        assert all(degrees[u] >= 2 for u in g.left)
+    def test_a_cycle_is_not_acyclic(self):
+        edges = sorted(PAPER_CYCLE.patterns)
+        assert not _is_acyclic(edges)
+        assert _is_acyclic(edges[:-1])
+
+
+def peels_empty(h, ell):
+    """Degree peeling at list size ell empties the bipartite graph of an n=2
+    class: a line is a vertex, its size the vertex's degree."""
+    return max_pseudocube_core(h, ell + 1).core.is_empty
 
 
 class TestBipartitePeel:
     def test_cycle_class_by_ell(self):
-        assert bipartite_peel(PAPER_CYCLE, 2).success        # every degree is 2
-        assert not bipartite_peel(PAPER_CYCLE, 1).success    # it is a 2-pseudo-cube
+        assert peels_empty(PAPER_CYCLE, 2)        # every degree is 2
+        assert not peels_empty(PAPER_CYCLE, 1)    # it is a 2-pseudo-cube
 
     def test_star_graph(self):
         for ell in (1, 2, 3):
             star = make(2, 5, [(0, b) for b in range(ell)])
-            assert bipartite_peel(star, ell).success
+            assert peels_empty(star, ell)
 
     def test_full_bipartite(self):
         k = 4
         full = make(2, k, [(a, b) for a in range(k) for b in range(k)])
         for ell in range(1, k):
-            assert not bipartite_peel(full, ell).success
-        assert bipartite_peel(full, k).success
-
-    def test_requires_two_coordinates(self):
-        with pytest.raises(ValueError):
-            bipartite_peel(make(3, 2, [(0, 0, 0)]), 1)
+            assert not peels_empty(full, ell)
+        assert peels_empty(full, k)
 
     def test_success_iff_core_empty_exhaustive_k3(self):
+        # the vertex peel of the oracle against the heap's line peel
         for h in all_classes(2, 3):
             for ell in (1, 2):
-                peel = bipartite_peel(h, ell)
-                assert peel.success == max_pseudocube_core(h, ell + 1).core.is_empty
-                if peel.success:
+                report = max_pseudocube_core(h, ell + 1)
+                assert degree_peel_empties(h, ell) == report.core.is_empty
+                if report.core.is_empty:
                     assert len(h) <= ell * (2 * 3 - ell)
-                    assert peel.edges_removed == len(h)
+                    assert len(report.peel_trace) == len(h)
 
     def test_turan_reference_is_descriptive_scale(self):
         from pseudocube import turan_reference

@@ -396,14 +396,41 @@ def test_verify_sauer_bound_violation_on_one_input_exits_1(capsys, three_k3, mon
     assert "VERIFICATION FAILURE: size 3 exceeds bound 2" in captured.err
 
 
-@pytest.mark.parametrize("ell, tail", [
-    ("1", "largest_peelable_size_at_ell=5 turan_scale=5.19615"),
-    ("2", "largest_peelable_size_at_ell=8 turan_scale=6.24025"),
+def _appendix_case(n, k, ell, checked, tail=None, case_id=None):
+    expected = [f"appendix: checked={checked} failures=0"] + ([tail] if tail else [])
+    return pytest.param(["--n", str(n), "--k", str(k), "--ell", str(ell)], expected,
+                        id=case_id or f"n{n}-k{k}-ell{ell}")
+
+
+# the n=2, k=3 cases keep the ids they had when they were the only ones
+@pytest.mark.parametrize("argv, expected", [
+    _appendix_case(2, 3, 1, 1349, "largest_peelable_size_at_ell=5 turan_scale=5.19615",
+                   case_id="1-largest_peelable_size_at_ell=5 turan_scale=5.19615"),
+    _appendix_case(2, 3, 2, 1349, "largest_peelable_size_at_ell=8 turan_scale=6.24025",
+                   case_id="2-largest_peelable_size_at_ell=8 turan_scale=6.24025"),
+    _appendix_case(3, 2, 1, 124),
+    _appendix_case(1, 4, 2, 15),
+    _appendix_case(2, 2, 1, 29, "largest_peelable_size_at_ell=3 turan_scale=2.82843"),
 ])
-def test_verify_appendix_in_range_ell(capsys, ell, tail):
-    code, out = run(capsys, ["verify", "appendix", "--n", "2", "--k", "3", "--ell", ell])
+def test_verify_appendix_in_range_ell(capsys, argv, expected):
+    code, out = run(capsys, ["verify", "appendix"] + argv)
     assert code == 0
-    assert out.splitlines()[1:] == ["appendix: checked=1349 failures=0", tail]
+    assert out.splitlines()[1:] == expected
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "sauer", "--n", "3", "--k", "3"], "2^(k^n) = 2^27 exceeds cap 16777216"),
+    (["verify", "appendix", "--n", "3", "--k", "3"], "2^(k^n) = 2^27 exceeds cap 16777216"),
+    (["verify", "shiftlaws", "--n", "20", "--k", "3", "--count", "1"],
+     "k^n = 3486784401 exceeds enumeration cap 16777216"),
+    (["verify", "corollary", "--n", "20", "--k", "3", "--count", "1"],
+     "k^n = 3486784401 exceeds enumeration cap 16777216"),
+])
+def test_verify_rejects_an_oversized_grid_before_the_header(capsys, argv, message):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert message in captured.err
 
 
 def test_zero_count_is_accepted(capsys):

@@ -1,5 +1,6 @@
-"""Invariants in the package are explicit raises, so they survive ``python -O``,
-which strips ``assert`` statements."""
+"""Static checks on the package source.  Invariants are explicit raises, so
+they survive ``python -O``, which strips ``assert`` statements; and no module
+imports a name it never uses."""
 
 import ast
 from pathlib import Path
@@ -7,11 +8,32 @@ from pathlib import Path
 import pseudocube
 
 
-def test_package_has_no_assert_statements():
+def _package_trees():
     sources = sorted(Path(pseudocube.__file__).parent.glob("*.py"))
     assert sources
+    return [(path, ast.parse(path.read_text(encoding="utf-8"))) for path in sources]
+
+
+def test_package_has_no_assert_statements():
     found = [f"{path.name}:{node.lineno}"
-             for path in sources
-             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             for path, tree in _package_trees()
+             for node in ast.walk(tree)
              if isinstance(node, ast.Assert)]
     assert not found, f"assert statements in the package: {found}"
+
+
+def test_package_modules_use_every_name_they_import():
+    # __init__ imports to re-export; __future__ imports switch on features
+    unused = []
+    for path, tree in _package_trees():
+        if path.name == "__init__.py":
+            continue
+        imported = {(alias.asname or alias.name).split(".")[0]: node.lineno
+                    for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    for alias in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}"
+                   for name, line in imported.items() if name not in used]
+    assert not unused, f"imported but never used: {unused}"
