@@ -22,9 +22,10 @@ of the bounded-high set, so neither enumerates the basis; only
 
 Every reported value is exact.  A minor of an integer matrix that is nonzero
 mod p is nonzero over Z, so the rank over GF(p) never exceeds the rank over Q;
-when it reaches min(rows, columns) it is the rational rank.  Polynomials keep
-rational coefficients and evaluate over their common denominator in integer
-arithmetic.  Certificates are bit-reproducible.
+when it reaches min(rows, columns) it is the rational rank.  A polynomial is
+integer numerators over one positive denominator, in lowest terms, from the
+Lagrange factor to the verifier; a ``Fraction`` appears only where a rational
+value leaves a function.  Certificates are bit-reproducible.
 
 The algebra is needed: the shifting proof of the VC case does not carry over
 to DS, as the paper remarks, because down-shifting can raise the DS dimension
@@ -45,7 +46,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
-from typing import Optional
+from typing import Iterable, Optional
 
 from .classes import (CapExceeded, DEFAULT_ENUMERATION_CAP, HypothesisClass,
                       Pattern, lines, parse_class_json, serialize_class_json)
@@ -54,6 +55,7 @@ from .dims import ds_dimension, max_pseudocube_core
 
 ELIMINATION_BIT_CAP = 1_000_000
 MODULUS = 2 ** 61 - 1  # a Mersenne prime
+_Terms = Iterable[tuple[Pattern, int]]  # (exponent vector, integer numerator) pairs
 
 
 class PeelingError(RuntimeError):
@@ -99,30 +101,37 @@ def _in_basis(exp: Pattern, n: int, k: int, ell: int, d: int) -> bool:
 
 @dataclass(frozen=True)
 class RationalPolynomial:
-    """Terms map exponent vectors to nonzero rational coefficients."""
+    """The polynomial sum(c * x^e for e, c in terms) / den, in lowest terms:
+    ``terms`` holds (exponent vector, nonzero integer numerator) pairs sorted
+    by exponent vector, and den is positive and coprime to the numerators
+    taken together, so equal polynomials compare equal."""
 
     n: int
-    terms: tuple[tuple[Pattern, Fraction], ...]
+    terms: tuple[tuple[Pattern, int], ...]
+    den: int
 
     @classmethod
     def from_dict(cls, n: int, terms: dict[Pattern, Fraction]) -> "RationalPolynomial":
-        kept = tuple(sorted((e, c) for e, c in terms.items() if c != 0))
-        return cls(n=n, terms=kept)
+        """From rational (or integer) coefficients."""
+        den = math.lcm(*(c.denominator for c in terms.values()))
+        return cls._over(n, ((e, c.numerator * den // c.denominator)
+                             for e, c in terms.items()), den)
+
+    @classmethod
+    def _over(cls, n: int, terms: _Terms, den: int) -> "RationalPolynomial":
+        """Numerators of distinct exponent vectors over a nonzero den, in lowest terms."""
+        kept = sorted((e, c) for e, c in terms if c)
+        g = math.gcd(den, *(c for _, c in kept)) * (1 if den > 0 else -1)
+        return cls(n=n, terms=tuple((e, c // g) for e, c in kept), den=den // g)
 
     @cached_property
-    def _over_denominator(self) -> tuple[int, tuple[tuple[tuple[tuple[int, int], ...], int], ...]]:
-        """(den, terms): the least common denominator of the coefficients and,
-        per term, its (variable, positive exponent) pairs and the integer
-        numerator of its coefficient over den."""
-        den = math.lcm(*(c.denominator for _, c in self.terms))
-        return den, tuple((tuple((i, e) for i, e in enumerate(exp) if e),
-                           c.numerator * (den // c.denominator))
-                          for exp, c in self.terms)
+    def _factored(self) -> tuple[tuple[tuple[tuple[int, int], ...], int], ...]:
+        """Per term, its (variable, positive exponent) pairs and numerator."""
+        return tuple((tuple((i, e) for i, e in enumerate(exp) if e), c) for exp, c in self.terms)
 
     def evaluate(self, point: Pattern) -> Fraction:
-        den, terms = self._over_denominator
         total = 0
-        for factors, value in terms:
+        for factors, value in self._factored:
             for i, e in factors:
                 x = point[i]
                 if not x:
@@ -130,48 +139,38 @@ class RationalPolynomial:
                 value *= x ** e
             else:
                 total += value
-        return Fraction(total, den)
+        return Fraction(total, self.den)
 
 
-def _poly_mul_univariate(poly: dict[Pattern, Fraction], var: int,
-                         coeffs: list[Fraction]) -> dict[Pattern, Fraction]:
-    """Multiply a term dict by a univariate polynomial in ``var`` given by
-    ascending coefficients."""
-    out: dict[Pattern, Fraction] = {}
-    for exp, c in poly.items():
-        for e, u in enumerate(coeffs):
-            if u == 0:
-                continue
-            new = exp[:var] + (exp[var] + e,) + exp[var + 1:]
-            out[new] = out.get(new, Fraction(0)) + c * u
-    return {e: c for e, c in out.items() if c != 0}
+def _poly_mul_univariate(poly: _Terms, var: int, coeffs: list[int]) -> list[tuple[Pattern, int]]:
+    """Multiply integer numerators by a univariate polynomial (ascending integer
+    coefficients) in a new variable inserted at position ``var``; ``poly``
+    lacks that variable, so no two products share an exponent vector."""
+    return [(exp[:var] + (e,) + exp[var:], c * u)
+            for exp, c in poly for e, u in enumerate(coeffs) if u]
 
 
-def _lagrange_coeffs(value: int, exclude: tuple[int, ...]) -> list[Fraction]:
-    """Ascending coefficients of prod_{j in exclude} (x - j) / (value - j)."""
-    coeffs = [Fraction(1)]
+def _lagrange_coeffs(value: int, exclude: tuple[int, ...]) -> tuple[list[int], int]:
+    """Ascending integer coefficients of prod_j (x - j), and prod_j (value - j), j in exclude."""
+    coeffs, den = [1], 1
     for j in exclude:
-        scale = Fraction(1, value - j)
-        nxt = [Fraction(0)] * (len(coeffs) + 1)
-        for e, c in enumerate(coeffs):
-            nxt[e + 1] += c * scale
-            nxt[e] -= c * j * scale
-        coeffs = nxt
-    return coeffs
+        coeffs = [a - j * b for a, b in zip([0] + coeffs, coeffs + [0])]
+        den *= value - j
+    return coeffs, den
 
 
 def indicator_poly(h: Pattern, k: int) -> RationalPolynomial:
     """The interpolation indicator of ``h`` on the full cube: value 1 at h and
     0 at every other point of {0..k-1}^n; per-variable degree k - 1."""
-    n = len(h)
     for v in h:
         if not (0 <= v < k):
             raise ValueError(f"entry {v} out of range [0,{k})")
-    terms: dict[Pattern, Fraction] = {(0,) * n: Fraction(1)}
+    terms, den = [((), 1)], 1
     for i, hv in enumerate(h):
-        others = tuple(j for j in range(k) if j != hv)
-        terms = _poly_mul_univariate(terms, i, _lagrange_coeffs(hv, others))
-    return RationalPolynomial.from_dict(n, terms)
+        coeffs, scale = _lagrange_coeffs(hv, tuple(j for j in range(k) if j != hv))
+        terms = _poly_mul_univariate(terms, i, coeffs)
+        den *= scale
+    return RationalPolynomial._over(len(h), terms, den)
 
 
 # ---------------------------------------------------------------------------
@@ -410,18 +409,16 @@ def _construct(h: HypothesisClass, ell: int, d: int, memo: dict,
         if h.n == 1:
             # the projection off the only coordinate is zero-dimensional, so
             # the off-direction indicator degenerates to the constant 1
-            base = RationalPolynomial.from_dict(0, {(): Fraction(1)})
+            base = RationalPolynomial(n=0, terms=(((), 1),), den=1)
         else:
             proj = HypothesisClass(h.n - 1, h.k,
                                    frozenset(q[:i] + q[i + 1:] for q in ordering[t:]))
             sub_order, _, sub_polys, sub_rows = _construct(proj, ell, d, memo, indicators)
             target = p[:i] + p[i + 1:]
             base = _indicator_on_class(sub_order, sub_polys, sub_rows, target)
-        lifted: dict[Pattern, Fraction] = {
-            exp[:i] + (0,) + exp[i:]: c for exp, c in base.terms}
-        factor = _lagrange_coeffs(p[i], values) if values else [Fraction(1)]
-        q_terms = _poly_mul_univariate(lifted, i, factor)
-        polys.append(RationalPolynomial.from_dict(h.n, q_terms))
+        factor, scale = _lagrange_coeffs(p[i], values)
+        polys.append(RationalPolynomial._over(h.n, _poly_mul_univariate(base.terms, i, factor),
+                                              base.den * scale))
     rows = [[q.evaluate(p) for q in polys] for p in ordering]
     result = (ordering, witnesses, tuple(polys), rows)
     memo[key] = result
@@ -434,25 +431,24 @@ def _indicator_on_class(ordering: tuple[Pattern, ...],
                         target: Pattern) -> RationalPolynomial:
     """Combine basis polynomials into the indicator of ``target`` on the
     class they certify, via back substitution against the unit-triangular
-    evaluation matrix."""
+    evaluation matrix, with numerators over the lcm of the denominators."""
     size = len(ordering)
-    rhs = [Fraction(1) if p == target else Fraction(0) for p in ordering]
-    coeff = [Fraction(0)] * size
+    coeff: list[Fraction] = [0] * size
     for t in range(size - 1, -1, -1):
-        acc = rhs[t]
+        acc = int(ordering[t] == target)
         row = rows[t]
         for s in range(t + 1, size):
             if coeff[s]:
                 acc -= row[s] * coeff[s]
         coeff[t] = acc
-    combined: dict[Pattern, Fraction] = {}
-    for c, q in zip(coeff, polys):
-        if c == 0:
-            continue
+    used = [(c, q) for c, q in zip(coeff, polys) if c]
+    den = math.lcm(*(c.denominator * q.den for c, q in used))
+    combined: dict[Pattern, int] = {}
+    for c, q in used:
+        scale = c.numerator * (den // (c.denominator * q.den))
         for exp, u in q.terms:
-            combined[exp] = combined.get(exp, Fraction(0)) + c * u
-    n = len(target)
-    return RationalPolynomial.from_dict(n, combined)
+            combined[exp] = combined.get(exp, 0) + scale * u
+    return RationalPolynomial._over(len(target), combined.items(), den)
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +469,8 @@ def serialize_certificate(cert: Certificate, h: HypothesisClass) -> str:
                       for w in cert.witnesses],
     }
     if cert.q_polys is not None:
-        obj["q_polys"] = [[[list(exp), c.numerator, c.denominator] for exp, c in q.terms]
+        obj["q_polys"] = [[[list(exp), f.numerator, f.denominator]
+                           for exp, c in q.terms for f in (Fraction(c, q.den),)]
                           for q in cert.q_polys]
     return json.dumps(obj, separators=(",", ":")) + "\n"
 
@@ -500,15 +497,17 @@ def load_certificate(text: str) -> tuple[Certificate, HypothesisClass]:
     if "q_polys" in obj:
         q_polys = []
         for terms in _list(obj["q_polys"]):
-            coeffs: dict[Pattern, Fraction] = {}
+            parsed: dict[Pattern, tuple[int, int]] = {}
             for term in _list(terms):
                 if not (isinstance(term, list) and len(term) == 3 and type(term[1]) is int):
                     raise ValueError(f"term {term!r} is not [exponents, numerator, denominator]")
                 exp = tuple(_int(e, 0, h.k) for e in _list(term[0]))
-                if len(exp) != h.n or exp in coeffs:
+                if len(exp) != h.n or exp in parsed:
                     raise ValueError(f"exponent vector {exp} has the wrong length or repeats")
-                coeffs[exp] = Fraction(term[1], _int(term[2], 1))
-            q_polys.append(RationalPolynomial.from_dict(h.n, coeffs))
+                parsed[exp] = term[1], _int(term[2], 1)
+            den = math.lcm(*(b for _, b in parsed.values()))
+            q_polys.append(RationalPolynomial._over(
+                h.n, ((e, a * (den // b)) for e, (a, b) in parsed.items()), den))
         q_polys = tuple(q_polys)
     cert = Certificate(n=h.n, k=h.k, ell=_int(obj["ell"], 1, h.k + 1),
                        d=_int(obj["d"], 0, h.n + 1),

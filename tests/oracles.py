@@ -311,12 +311,12 @@ def rank_fraction_pivot(rows: list[list[int]]) -> int:
 
 def fraction_evaluate(poly, point) -> Fraction:
     """Value of a ``RationalPolynomial`` at ``point`` as a plain sum of
-    ``Fraction`` terms, with no common denominator."""
+    ``Fraction`` terms, each its numerator over ``poly.den``."""
     total = Fraction(0)
-    for exp, coeff in poly.terms:
+    for exp, numerator in poly.terms:
         value = 1
         for x, e in zip(point, exp):
             if e:
                 value *= x ** e
-        total += coeff * value
+        total += Fraction(numerator, poly.den) * value
     return total

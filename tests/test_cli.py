@@ -1,9 +1,11 @@
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from pseudocube import __version__, parse_class
+from pseudocube import __version__, load_certificate, parse_class, verify_certificate
+from pseudocube import bounds, cli, dims
 from pseudocube.cli import main
 
 THREE_FILE = "n=2 k=2\n0 0\n0 1\n1 0\n"
@@ -138,15 +140,24 @@ class TestCert:
         code, out = run(capsys, ["cert", "verify", "--cert", str(cert_path)])
         assert code == 0 and "ok=True" in out
 
-    def test_verify_rejects_foreign_class(self, capsys, three, tmp_path):
+    def test_verify_rejects_foreign_class(self, capsys, three, three_k3, tmp_path):
         cert_path = tmp_path / "cert.json"
         run(capsys, ["cert", "replay", "--input", three, "--ell", "1",
                      "--output", str(cert_path)])
         other = tmp_path / "other.cls"
         other.write_text("n=2 k=2\n0 0\n1 1\n")
-        code, out = run(capsys, ["cert", "verify", "--cert", str(cert_path),
-                                 "--input", str(other)])
-        assert code == 1
+        # three_k3 has the same patterns at a larger k: the certificate proves
+        # the bound there too, so only the class comparison rejects it
+        cert, _ = load_certificate(cert_path.read_text())
+        assert verify_certificate(cert, parse_class(Path(three_k3).read_text())).ok
+        for foreign in (str(other), three_k3):
+            code, out = run(capsys, ["cert", "verify", "--cert", str(cert_path),
+                                     "--input", foreign])
+            lines = out.splitlines()
+            assert code == 1 and lines[0].startswith("# tool=pseudocube version=")
+            assert f"input={foreign}" in lines[0]
+            assert lines[1:] == ["ok=False",
+                                 "failure: certificate class differs from --input class"]
 
 
 class TestCertBelowDimension:
@@ -416,6 +427,21 @@ def test_verify_appendix_in_range_ell(capsys, argv, expected):
     code, out = run(capsys, ["verify", "appendix"] + argv)
     assert code == 0
     assert out.splitlines()[1:] == expected
+
+
+def test_verify_appendix_computes_each_dimension_once(capsys, monkeypatch):
+    calls = []
+
+    def counted(h, ell):
+        calls.append((h, ell))
+        return dims.ds_dimension(h, ell)
+
+    for module in (cli, bounds):
+        monkeypatch.setattr(module, "ds_dimension", counted)
+    code, out = run(capsys, ["verify", "appendix", "--n", "2", "--k", "3"])
+    assert code == 0 and "appendix: checked=1349 failures=0" in out
+    # one call per nonempty class of {0,1,2}^2
+    assert len(calls) == len(set(calls)) == 2 ** 9 - 1
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -1,6 +1,7 @@
 """Static checks on the package source.  Invariants are explicit raises, so
-they survive ``python -O``, which strips ``assert`` statements; and no module
-imports a name it never uses."""
+they survive ``python -O``, which strips ``assert`` statements; no module
+imports a name it never uses; and every function the benchmark's per-layer
+metrics name still exists."""
 
 import ast
 from pathlib import Path
@@ -37,3 +38,18 @@ def test_package_modules_use_every_name_they_import():
         unused += [f"{path.name}:{line} {name}"
                    for name, line in imported.items() if name not in used]
     assert not unused, f"imported but never used: {unused}"
+
+
+def test_benchmark_per_layer_metrics_name_existing_functions(monkeypatch):
+    # perfbench wraps package functions by name, and a per-layer metric whose
+    # function was deleted or renamed raises KeyError in its traced runs
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
+    from perfbench.run import layer_metrics
+    from perfbench.tracing import Tracer
+
+    tracer = Tracer()
+    try:
+        tracer.install(pseudocube)
+        layer_metrics(tracer, 1, 0.0, 0.0)
+    finally:
+        tracer.restore()

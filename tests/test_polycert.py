@@ -1,5 +1,6 @@
 import copy
 import json
+import math
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product
@@ -97,6 +98,56 @@ class TestEvaluate:
                                                (0, 2): Fraction(-7, 4)})
         assert poly.evaluate((0, 2)) == Fraction(1, 3) - 7
         assert poly.evaluate((0, 0)) == Fraction(1, 3)
+
+
+@st.composite
+def rational_term_dicts(draw):
+    """(n, exponent -> Fraction coefficient, exponents outside it)."""
+    n = draw(st.integers(0, 3))
+    exps = st.tuples(*[st.integers(0, 3)] * n)
+    coeffs = st.builds(Fraction, st.integers(-2 ** 80, 2 ** 80) | st.integers(-6, 6),
+                       st.integers(1, 10 ** 9) | st.integers(1, 12))
+    terms = draw(st.dictionaries(exps, coeffs, max_size=6))
+    zeros = draw(st.sets(exps.filter(lambda e: e not in terms), max_size=3))
+    return n, terms, zeros
+
+
+def _in_lowest_terms(poly):
+    numerators = [c for _, c in poly.terms]
+    return (poly.den > 0 and math.gcd(poly.den, *numerators) == 1 and all(numerators)
+            and list(poly.terms) == sorted(poly.terms))
+
+
+class TestCanonicalForm:
+    @settings(max_examples=200, deadline=None)
+    @given(rational_term_dicts(), st.integers(-10 ** 6, 10 ** 6).filter(bool))
+    def test_every_way_of_writing_a_polynomial_gives_one_form(self, case, scale):
+        n, terms, zeros = case
+        poly = RationalPolynomial.from_dict(n, terms)
+        common = math.lcm(*(c.denominator for c in terms.values()))
+        forms = [
+            # zero coefficients, as ints and as fractions
+            RationalPolynomial.from_dict(n, {**terms, **{e: Fraction(0, 7) for e in zeros},
+                                             **{e: 0 for e in list(zeros)[:1]}}),
+            # integer coefficients given as ints
+            RationalPolynomial.from_dict(n, {e: c.numerator if c.denominator == 1 else c
+                                             for e, c in terms.items()}),
+            # numerators over a scaled, possibly negative, denominator
+            RationalPolynomial._over(n, [(e, int(c * common) * scale) for e, c in terms.items()]
+                                     + [(e, 0) for e in zeros], common * scale),
+        ]
+        for form in [poly] + forms:
+            assert form == poly and hash(form) == hash(poly)
+            assert _in_lowest_terms(form)
+        assert {e: Fraction(c, poly.den) for e, c in poly.terms} == \
+            {e: c for e, c in terms.items() if c}
+
+    def test_replayed_polynomials_are_in_lowest_terms(self):
+        for h, ell, d in ((extremal_class(3, 3, 2, 1), 2, 1), (extremal_class(3, 4, 2, 1), 2, 1),
+                          (extremal_class(2, 3, 1, 2), 1, 2)):
+            polys = construct_q(h, ell, d).q_polys
+            assert all(_in_lowest_terms(q) for q in polys)
+            assert any(q.den > 1 for q in polys)
 
 
 class TestRank:
