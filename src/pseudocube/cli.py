@@ -416,36 +416,30 @@ def _cmd_verify(args, out) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="pseudocube",
-        description="Exact dimensions, sharp size bounds, orientations, and "
-                    "list-learning experiments for finite multiclass classes.")
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
+def _common(p) -> None:
+    p.add_argument("--input", required=True, help="class file path, or - for stdin")
+    p.add_argument("--ell", type=int, default=1)
+    p.add_argument("--format", choices=("text", "json"), default="text")
 
-    def common(p, input_required=True):
-        p.add_argument("--input", required=input_required,
-                       help="class file path, or - for stdin")
-        p.add_argument("--ell", type=int, default=1)
-        p.add_argument("--format", choices=("text", "json"), default="text")
 
-    p = sub.add_parser("dim", help="compute a dimension of a class")
+def _dim_arguments(p) -> None:
     p.add_argument("kind", choices=("ds", "nat", "exp", "graph"))
-    common(p)
+    _common(p)
     p.add_argument("--cap", type=int, default=GRAPH_DIM_BUDGET,
                    help="graph dimension: pivot-search budget for each coordinate "
                         "set (reset per set, not a total)")
     p.set_defaults(func=_cmd_dim)
 
-    p = sub.add_parser("bound", help="evaluate a closed-form size bound")
+
+def _bound_arguments(p) -> None:
     p.add_argument("kind", choices=("ds", "nat"))
     for name in ("--n", "--k", "--ell", "--d"):
         p.add_argument(name, type=int, required=True)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=_cmd_bound)
 
-    p = sub.add_parser("gen", help="generate a class file")
+
+def _gen_arguments(p) -> None:
     p.add_argument("kind", choices=("extremal", "random"))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
@@ -458,14 +452,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=_cmd_gen)
 
-    p = sub.add_parser("oig", help="one-inclusion graph operations")
+
+def _oig_arguments(p) -> None:
     p.add_argument("action", choices=("stats", "shift", "fixpoint", "orient", "density"))
-    common(p)
+    _common(p)
     p.add_argument("--dir", type=int, default=0)
     p.add_argument("--cap", type=int, default=DENSITY_BRUTEFORCE_CAP)
     p.set_defaults(func=_cmd_oig)
 
-    p = sub.add_parser("cert", help="size-bound certificates")
+
+def _cert_arguments(p) -> None:
     p.add_argument("action", choices=("span", "replay", "verify"))
     p.add_argument("--input")
     p.add_argument("--ell", type=int, default=1)
@@ -475,9 +471,10 @@ def _build_parser() -> argparse.ArgumentParser:
     # no --format: cert prints text only; the header still records it
     p.set_defaults(func=_cmd_cert, format="text")
 
-    p = sub.add_parser("learn", help="list-learning experiments")
+
+def _learn_arguments(p) -> None:
     p.add_argument("action", choices=("loo", "pac", "uc"))
-    common(p)
+    _common(p)
     p.add_argument("--target-index", type=int, default=0)
     p.add_argument("--weights", help="comma-separated instance weights")
     p.add_argument("--provider", choices=("full-alphabet", "sample-support"),
@@ -491,7 +488,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verbose", action="store_true")
     p.set_defaults(func=_cmd_learn)
 
-    p = sub.add_parser("sweep", help="bound verification sweeps (CSV)")
+
+def _sweep_arguments(p) -> None:
     p.add_argument("action", choices=("exhaustive", "random"))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
@@ -502,7 +500,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=_int_at_least(1), default=1)
     p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("verify", help="verify the proved inequalities")
+
+def _verify_arguments(p) -> None:
     p.add_argument("target", choices=("sauer", "shiftlaws", "corollary", "appendix"))
     p.add_argument("--input")
     p.add_argument("--n", type=int, default=2)
@@ -514,11 +513,41 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_verify)
 
+
+_SUBCOMMANDS = (
+    ("dim", "compute a dimension of a class", _dim_arguments),
+    ("bound", "evaluate a closed-form size bound", _bound_arguments),
+    ("gen", "generate a class file", _gen_arguments),
+    ("oig", "one-inclusion graph operations", _oig_arguments),
+    ("cert", "size-bound certificates", _cert_arguments),
+    ("learn", "list-learning experiments", _learn_arguments),
+    ("sweep", "bound verification sweeps (CSV)", _sweep_arguments),
+    ("verify", "verify the proved inequalities", _verify_arguments),
+)
+
+
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser with every subcommand and its help string, but the arguments
+    of ``command`` only, or of every subcommand when it is None.  Usage, help
+    and error texts are the same either way for an invocation of ``command``."""
+    parser = argparse.ArgumentParser(
+        prog="pseudocube",
+        description="Exact dimensions, sharp size bounds, orientations, and "
+                    "list-learning experiments for finite multiclass classes.")
+    parser.add_argument("--version", action="version", version=__version__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, help_text, add_arguments in _SUBCOMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        if command is None or command == name:
+            add_arguments(p)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the top-level options take no value, so the first word that is not an
+    # option names the subcommand
+    parser = _build_parser(next((a for a in argv if not a.startswith("-")), None))
     args = parser.parse_args(argv)
     if (args.command, getattr(args, "action", None)) in _TEXT_ONLY and args.format == "json":
         parser.error(f"{args.command} {args.action} prints text only; "

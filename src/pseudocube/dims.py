@@ -25,17 +25,21 @@ L+1 has no hit, so L orders the work but does not decide the answer.  They
 also leave out every coordinate that takes at most ell values, which is in no
 shattered set.
 
-The DS search asks of each coordinate set S whether proj_S(H) contains an
-(ell+1)-pseudo-cube, and a cube-mask kernel answers it.  The kernel lays the
-projection out as one int, a bit per cell of [k]^d, and clears the deficient
-lines of one direction at a time with bit-sliced line counts until no
-direction changes: the fixed point is the maximal pseudo-cube as a set of
-cells.  Its work follows k^d where the heap's follows |H| d, so a set with
-k^d > 1024 |H| goes to the heap instead.  ``max_pseudocube_core``, the heap,
-stays the one peel engine and the only source of peel traces: the peeling
-orders of the certificates in ``polycert`` are its traces, and the DS
-witness structure is its core, from one call after the search that must
-agree with the kernel.  Lines come from the one line index, ``classes.lines``.
+Both the DS and the Natarajan search ask a cube-mask kernel of each
+coordinate set S.  The kernel lays proj_S(H) out as one int, a bit per cell
+of [k]^d.  For DS it clears the deficient lines of one direction at a time
+with bit-sliced line counts until no direction changes: the fixed point is
+the maximal (ell+1)-pseudo-cube as a set of cells.  For Natarajan it slices
+the int by the values of one digit at a time and ANDs ell+1 slices, which
+intersects the suffix sets of ell+1 values, looking for the factor sets of
+an (ell+1)-cube.  Its work follows k^d where the set path's follows |H| d, so
+a set with k^d > 1024 |H| falls back to the set path, ``ds_shattered`` or
+``natarajan_shattered``.  Each search ends with one set-path call on its
+witness, which must agree with the kernel, else it raises.
+``max_pseudocube_core``, the heap behind ``ds_shattered``, stays the one
+peel engine and the only source of peel traces: the peeling orders of the
+certificates in ``polycert`` are its traces, and the DS witness structure
+is its core.  Lines come from the one line index, ``classes.lines``.
 """
 
 from __future__ import annotations
@@ -44,8 +48,8 @@ import heapq
 import warnings
 from collections import defaultdict, deque
 from dataclasses import dataclass
-from itertools import combinations, product, repeat
-from operator import add, mul
+from itertools import accumulate, combinations, product, repeat
+from operator import add, and_, mul
 from typing import Iterable
 
 from .classes import CapExceeded, Coords, HypothesisClass, Pattern, lines, project
@@ -346,19 +350,68 @@ def _group_suffixes(patterns: Iterable[Pattern]) -> dict[int, set[Pattern]]:
     return by_value
 
 
+def _cube_mask_factors(cells: int, k: int, low: tuple[int, ...], ell1: int, j: int = 0):
+    """``_cube_factors`` on the cell set ``cells`` of [k]^d (see ``_cube_mask``),
+    from digit j on; ``low[j]`` holds the cells whose digits 0..j are 0.
+
+    The slice of value y at digit j, ``cells >> y * k**j & low[j]``, is the set
+    of suffixes that y extends, so ANDing slices intersects suffix sets, and
+    the values and their combinations run in the same order as there."""
+    d, stride = len(low), k ** j
+    slices = {y: s for y in range(k) if (s := cells >> y * stride & low[j])}
+    need = ell1 ** (d - j - 1)
+    for ys in combinations(slices, ell1):
+        common = slices[ys[0]]
+        for y in ys[1:]:
+            common &= slices[y]
+        if common.bit_count() < need:
+            continue
+        if j == d - 1:
+            return (frozenset(ys),)
+        rest = _cube_mask_factors(common, k, low, ell1, j + 1)
+        if rest is not None:
+            return (frozenset(ys),) + rest
+    return None
+
+
 def natarajan_shattered(h: HypothesisClass, coords: Coords, ell: int):
-    """Factor sets of an (ell+1)-cube inside the projection, or None."""
+    """Factor sets of an (ell+1)-cube inside the projection, or None.
+
+    ``natarajan_dimension`` calls it once after its search, for the witness;
+    the search itself asks the cube-mask kernel, and asks this only of sets
+    with k^d > 1024 |H|."""
     pats = project(h, coords).patterns
     return _cube_factors(_group_suffixes(pats), len(coords), ell + 1)
 
 
 def natarajan_dimension(h: HypothesisClass, ell: int) -> DimensionResult:
-    """Largest coordinate set whose projection contains an (ell+1)-cube."""
+    """Largest coordinate set whose projection contains an (ell+1)-cube.
+
+    The search runs as in ``ds_dimension``: the cube-mask kernel
+    (``_cube_mask_factors``) tests a d-set while k^d <= 1024 |H|, and
+    ``natarajan_shattered`` above that.  The witness factors are checked by
+    one ``natarajan_shattered`` call after the search, which must return the
+    same factors, else this raises."""
     if _preconditions(h, ell, ""):
         return DimensionResult(0, ())
-    return _search(_live(zip(*h.patterns), ell), len(h), ell + 1,
-                   lambda coords: natarajan_shattered(h, coords, ell),
-                   lower=_sauer_lower(h.n, h.k, ell, len(h)))
+    k, cols = h.k, list(zip(*h.patterns))
+    cap = _KERNEL_CELLS_PER_PATTERN * len(h)
+    low: dict[int, tuple[int, ...]] = {}
+
+    def shattered(coords):
+        d = len(coords)
+        if k ** d > cap:
+            return natarajan_shattered(h, coords, ell)
+        if d not in low:
+            low[d] = tuple(accumulate(_digit_zero(k, d), and_))
+        return _cube_mask_factors(_cube_mask(cols, coords, k), k, low[d], ell + 1)
+
+    res = _search(_live(cols, ell), len(h), ell + 1, shattered,
+                  lower=_sauer_lower(h.n, h.k, ell, len(h)))
+    if res.value and natarajan_shattered(h, res.witness, ell) != res.witness_structure:
+        raise RuntimeError(f"the set search and the cube-mask kernel disagree on the "
+                           f"factors of the projection onto {res.witness}")
+    return res
 
 
 def exponential_dimension(h: HypothesisClass, ell: int) -> DimensionResult:

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -367,8 +368,8 @@ def construct_q(h: HypothesisClass, ell: int, d: int) -> Certificate:
         raise ValueError(f"need 0 <= d <= n, got d={d}, n={h.n}")
     if not (1 <= ell <= h.k):
         raise ValueError(f"need 1 <= ell <= k, got ell={ell}, k={h.k}")
-    ordering, witnesses, polys, rows = _construct(h, ell, d, {}, {})
-    matrix = tuple(tuple(row) for row in rows)
+    ordering, witnesses, polys, _ = _construct(h, ell, d, {}, {})
+    matrix = tuple(tuple(q.evaluate(p) for q in polys) for p in ordering)
     for i in range(len(ordering)):
         if matrix[i][i] != 1:
             raise AssertionError(f"diagonal entry {i} is {matrix[i][i]}, expected 1")
@@ -385,9 +386,11 @@ def construct_q(h: HypothesisClass, ell: int, d: int) -> Certificate:
 
 def _construct(h: HypothesisClass, ell: int, d: int, memo: dict,
                indicators: dict[Pattern, RationalPolynomial]):
-    """Returns (ordering, witnesses, polys, rows) with rows[t][s] the value of
-    poly s at pattern t; memoized per class so repeated projections are
-    certified once, and the base-case indicators per pattern."""
+    """Returns (ordering, witnesses, polys, entries) with entries[t, s] the
+    value of poly s at pattern t, evaluated when ``_indicator_on_class`` first reads
+    it (the base-case indicators are the unit matrix, so those read 0);
+    memoized per class so repeated projections are certified once, and the
+    base-case indicators per pattern."""
     key = (h.n, h.k, ell, d, h.patterns)
     hit = memo.get(key)
     if hit is not None:
@@ -398,9 +401,7 @@ def _construct(h: HypothesisClass, ell: int, d: int, memo: dict,
             if p not in indicators:
                 indicators[p] = indicator_poly(p, h.k)
         polys = tuple(indicators[p] for p in ordering)
-        rows = [[Fraction(int(t == s)) for s in range(len(ordering))]
-                for t in range(len(ordering))]
-        result = (ordering, (None,) * len(ordering), polys, rows)
+        result = (ordering, (None,) * len(ordering), polys, defaultdict(int))
         memo[key] = result
         return result
     ordering, witnesses = _peel(h, ell)
@@ -413,33 +414,49 @@ def _construct(h: HypothesisClass, ell: int, d: int, memo: dict,
         else:
             proj = HypothesisClass(h.n - 1, h.k,
                                    frozenset(q[:i] + q[i + 1:] for q in ordering[t:]))
-            sub_order, _, sub_polys, sub_rows = _construct(proj, ell, d, memo, indicators)
+            sub_order, _, sub_polys, sub_entries = _construct(proj, ell, d, memo, indicators)
             target = p[:i] + p[i + 1:]
-            base = _indicator_on_class(sub_order, sub_polys, sub_rows, target)
+            base = _indicator_on_class(sub_order, sub_polys, sub_entries, target)
         factor, scale = _lagrange_coeffs(p[i], values)
         polys.append(RationalPolynomial._over(h.n, _poly_mul_univariate(base.terms, i, factor),
                                               base.den * scale))
-    rows = [[q.evaluate(p) for q in polys] for p in ordering]
-    result = (ordering, witnesses, tuple(polys), rows)
+    polys = tuple(polys)
+    result = (ordering, witnesses, polys, _LazyValues(ordering, polys))
     memo[key] = result
     return result
 
 
+class _LazyValues(dict):
+    """entries[t, s] = polys[s].evaluate(ordering[t]), each evaluated once, on
+    its first read."""
+
+    def __init__(self, ordering: tuple[Pattern, ...],
+                 polys: tuple[RationalPolynomial, ...]):
+        super().__init__()
+        self.ordering, self.polys = ordering, polys
+
+    def __missing__(self, key: tuple[int, int]) -> Fraction:
+        t, s = key
+        value = self[key] = self.polys[s].evaluate(self.ordering[t])
+        return value
+
+
 def _indicator_on_class(ordering: tuple[Pattern, ...],
                         polys: tuple[RationalPolynomial, ...],
-                        rows: list[list[Fraction]],
+                        entries: dict[tuple[int, int], Fraction],
                         target: Pattern) -> RationalPolynomial:
     """Combine basis polynomials into the indicator of ``target`` on the
     class they certify, via back substitution against the unit-triangular
-    evaluation matrix, with numerators over the lcm of the denominators."""
+    evaluation matrix, with numerators over the lcm of the denominators.
+    It reads ``entries[t, s]`` only above the diagonal, and only where the
+    coefficient of poly s is nonzero."""
     size = len(ordering)
     coeff: list[Fraction] = [0] * size
     for t in range(size - 1, -1, -1):
         acc = int(ordering[t] == target)
-        row = rows[t]
         for s in range(t + 1, size):
             if coeff[s]:
-                acc -= row[s] * coeff[s]
+                acc -= entries[t, s] * coeff[s]
         coeff[t] = acc
     used = [(c, q) for c, q in zip(coeff, polys) if c]
     den = math.lcm(*(c.denominator * q.den for c, q in used))

@@ -3,6 +3,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pseudocube import (CapExceeded, HypothesisClass, ListClass, ds_dimension,
                         ds_shattered, exponential_dimension, extremal_class,
@@ -260,6 +261,66 @@ class TestNatarajanDimension:
                 assert nat <= ds <= exp
 
 
+class TestNatarajanKernel:
+    """The cube-mask kernel that answers the Natarajan search, against the set
+    search it stands in for."""
+
+    @staticmethod
+    def record_kernel_sizes(monkeypatch):
+        sizes = []
+        kernel = dims._cube_mask_factors
+
+        def recording(cells, k, low, ell1, j=0):
+            if j == 0:
+                sizes.append(len(low))
+            return kernel(cells, k, low, ell1, j)
+
+        monkeypatch.setattr(dims, "_cube_mask_factors", recording)
+        return sizes
+
+    def test_above_the_cap_the_set_path_decides(self, monkeypatch):
+        # 65^2 > 1024 * 4, so the 2-set goes to natarajan_shattered
+        h = make(2, 65, [(a, b) for a in (3, 64) for b in (0, 40)])
+        sizes = self.record_kernel_sizes(monkeypatch)
+        res = natarajan_dimension(h, 1)
+        assert res == dims.DimensionResult(2, (0, 1), (frozenset({3, 64}), frozenset({0, 40})))
+        assert 2 not in sizes
+
+    def test_below_the_cap_the_kernel_decides(self, monkeypatch):
+        h = make(2, 4, [(a, b) for a in (0, 3) for b in (1, 2)])
+        sizes = self.record_kernel_sizes(monkeypatch)
+        assert natarajan_dimension(h, 1).value == 2
+        assert 2 in sizes
+
+    def test_a_disagreeing_kernel_raises(self, monkeypatch):
+        monkeypatch.setattr(dims, "_cube_mask_factors",
+                            lambda cells, k, low, ell1, j=0: (frozenset({0, 1}),) * len(low))
+        with pytest.raises(RuntimeError, match="disagree"):
+            natarajan_dimension(PAPER_CYCLE, 1)
+
+
+@st.composite
+def classes_with_cubes(draw):
+    """A class with n <= 4 and k <= 5: random patterns, and often a product of
+    random value sets on every coordinate, so that high dimensions occur."""
+    n, k = draw(st.integers(1, 4)), draw(st.integers(2, 5))
+    cell = st.tuples(*[st.integers(0, k - 1)] * n)
+    pats = set(draw(st.lists(cell, min_size=1, max_size=30)))
+    if draw(st.booleans()):
+        factors = [draw(st.sets(st.integers(0, k - 1), min_size=1)) for _ in range(n)]
+        pats |= set(itertools.product(*factors))
+    return make(n, k, pats)
+
+
+@settings(max_examples=300, deadline=None)
+@given(classes_with_cubes())
+def test_property_natarajan_kernel_matches_the_set_search(h):
+    for ell in range(1, h.k):
+        res = natarajan_dimension(h, ell)
+        assert (res.value, res.witness, res.witness_structure) == first_shattered(
+            h.n, lambda coords: natarajan_shattered(h, coords, ell)), ell
+
+
 class TestExponentialDimension:
     def test_small_alphabet_cube(self):
         h = make(3, 3, [(a, b, c) for a in range(2) for b in range(2) for c in range(2)])
@@ -278,9 +339,6 @@ class TestExponentialDimension:
         for h in random_corpus(50, 4, 4, 0.5, seed0=900):
             for ell in (1, 2, 3):
                 assert ds_dimension(h, ell).value <= exponential_dimension(h, ell).value
-
-
-from hypothesis import given, settings, strategies as st
 
 
 @settings(max_examples=50, deadline=None)
