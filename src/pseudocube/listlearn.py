@@ -21,7 +21,7 @@ from functools import partial
 from itertools import compress, product
 from typing import Optional, Sequence
 
-from .classes import CapExceeded, HypothesisClass, Pattern, lines
+from .classes import CapExceeded, HypothesisClass, Pattern
 from .dims import ListClass, ListMember, ds_dimension, graph_dimension
 from .oig import min_max_orientation_indexed
 
@@ -245,7 +245,13 @@ def predict_one_inclusion(concepts: HypothesisClass, mu: ListPredictor,
     their values on the distinct points), which keeps the cost linear in the
     sample length: directions of repeated instances contribute only
     singleton edges, so the orientation problem is decided entirely by the
-    directions of once-sampled instances.
+    directions of once-sampled instances.  A restricted pattern is its
+    big-endian base-k code over the distinct instances, so integer order is
+    the patterns' lexicographic order, and a line of direction t is keyed by
+    the code with digit t deleted.  Only the label-consistent edge and the
+    edges of more than ell vertices go to the flow (smaller ones carry no
+    demand, and the budget's lower bound counts every vertex), so the
+    selection is the one the full graph gets.
 
     The checks raise ``RealizabilityError`` when no pattern lies in the
     lists, when an instance carries two labels, or when no such pattern
@@ -284,27 +290,49 @@ def _predict(index: _ClassIndex, allowed: Sequence[int],
     free = frozenset(y for y, mask in enumerate(index.masks[x]) if mask & labeled)
     if len(free) <= ell:
         return free
+    k = index.k
     distinct = sorted([*required, x])
+    width = len(distinct)
     xs = distinct.index(x)
-    rows = zip(*(index.columns[u] for u in distinct))
+    # a restricted pattern is its big-endian base-k code over ``distinct``,
+    # so integer order is the tuples' lexicographic order
+    codes = index.columns[distinct[0]]
+    for u in distinct[1:]:
+        codes = [code * k + v for code, v in zip(codes, index.columns[u])]
     if listed != index.full:
-        rows = compress(rows, map(int, reversed(f"{listed:0{index.full.bit_length()}b}")))
-    verts = sorted(set(rows))
-    vertex = {v: j for j, v in enumerate(verts)}
-    # repeated instances are left out: every edge in their direction is a singleton
+        codes = compress(codes, map(int, reversed(f"{listed:0{index.full.bit_length()}b}")))
+    verts = sorted(set(codes))
+    star_key = 0
+    for u in distinct:
+        if u != x:
+            star_key = star_key * k + required[u]
+    # repeated instances are left out: every edge in their direction is a
+    # singleton.  Edges of at most ell vertices carry no demand, so only the
+    # larger ones, and the star edge, go to the flow.
     mult = Counter(x_i for x_i, _ in sample)
-    once = [t for t, u in enumerate(distinct) if mult[u] <= 1]
-    star_key = (xs, tuple(required[u] for u in distinct if u != x))
     edges: list[tuple[int, ...]] = []
     star_edge: Optional[int] = None
-    for key, members in sorted(lines(verts, once).items()):
-        if key == star_key:
-            star_edge = len(edges)
-        edges.append(tuple(vertex[v] for v in members))
+    for t, u in enumerate(distinct):
+        if mult[u] > 1:
+            continue
+        # the line key is the code with digit t deleted
+        low = k ** (width - 1 - t)
+        high = low * k
+        groups: dict[int, list[int]] = {}
+        for j, v in enumerate(verts):
+            groups.setdefault(v // high * low + v % low, []).append(j)
+        for key in sorted(groups):
+            members = groups[key]
+            if t == xs and key == star_key:
+                star_edge = len(edges)
+            elif len(members) <= ell:
+                continue
+            edges.append(tuple(members))
     if star_edge is None:
         raise AssertionError("the test direction must hold the label-consistent edge")
     selection, _ = min_max_orientation_indexed(len(verts), edges, ell)
-    return frozenset(verts[j][xs] for j in selection[star_edge])
+    low = k ** (width - 1 - xs)
+    return frozenset(verts[j] // low % k for j in selection[star_edge])
 
 
 # ---------------------------------------------------------------------------

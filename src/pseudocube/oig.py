@@ -17,6 +17,15 @@ ceiling average over the vertices, and feasibility only grows with c.  We
 try c upward from that bound and read the orientation off the integral
 maximum flow at the first feasible c, so the result is an exact optimum, not
 an upper bound.
+
+The maximum flow is Dinic's algorithm, and on this network its first phase
+is a greedy pass: every augmenting path of the first level graph is source,
+edge, vertex, sink and carries one unit, so the phase charges, edge by edge
+and member by member, each vertex with budget left until the edge's demand
+is met.  That pass runs without a network.  Only when it leaves demand
+unmet is the network built, loaded with the greedy flow, and Dinic carried
+on from its second phase, so every flow, and every selection read off one,
+is the one a fresh network would give.
 """
 
 from __future__ import annotations
@@ -169,7 +178,12 @@ class FlowNetwork:
 
     ``max_flow`` is Dinic's algorithm on integer capacities.  Arcs are added
     edge by edge (source arc, then its middle arcs), then the sink arcs, and
-    augmentation follows that order, so flows are reproducible."""
+    augmentation follows that order, so flows are reproducible.
+
+    ``min_max_orientation_indexed`` builds a network only for a budget at
+    which ``_greedy_first_phase`` leaves demand unmet, and hands it that
+    phase's flow through ``_load`` before calling ``max_flow``; a network
+    built from scratch, as the test oracles build it, starts empty."""
 
     def __init__(self, num_vertices: int, incidence: list[tuple[int, ...]],
                  demands: list[int], sink_capacity: int):
@@ -191,8 +205,24 @@ class FlowNetwork:
         self.adj[v].append(rev)
         return arc
 
+    def _load(self, charged: list[list[int]]) -> None:
+        """Carry one unit source -> edge j -> v -> sink for every v in
+        ``charged[j]``, as Dinic's first phase leaves the fresh network when
+        ``charged`` is ``_greedy_first_phase``'s.  The members of an edge are
+        distinct, so a vertex names its middle arc."""
+        adj, ne = self.adj, len(self.mid_arcs)
+        for source_arc, arcs, members, picked in zip(adj[0], self.mid_arcs,
+                                                     self.incidence, charged):
+            for arc, v in zip(arcs, members):
+                if v in picked:
+                    # the sink arc is the last one added at a vertex node
+                    for a in (source_arc, arc, adj[1 + ne + v][-1]):
+                        a[1] -= 1
+                        adj[a[0]][a[2]][1] += 1
+
     def max_flow(self) -> int:
-        """Augment from the source (node 0) to the sink until no path is left."""
+        """Augment from the source (node 0) to the sink until no path is
+        left; returns the flow added to what the arcs carried before."""
         adj, t = self.adj, self.sink
         flow = 0
         while True:
@@ -235,6 +265,31 @@ class FlowNetwork:
                 for arcs, members in zip(self.mid_arcs, self.incidence)]
 
 
+def _greedy_first_phase(num_vertices: int, incidence: list[tuple[int, ...]],
+                        demands: list[int], c: int) -> tuple[list[list[int]], int]:
+    """Dinic's first phase on a fresh ``FlowNetwork(num_vertices, incidence,
+    demands, c)``, without building it: per edge, the vertices it charges,
+    and the flow.  The level graph runs source, edges, vertices, sink, and
+    the depth-first search takes the source arcs in edge order and the
+    middle arcs in member order.  At a vertex the reverse arcs fail the
+    level test, and a full sink arc moves the search past the vertex for
+    the rest of the phase, so a vertex takes units while its budget lasts."""
+    budget = [c] * num_vertices
+    charged = []
+    flow = 0
+    for demand, members in zip(demands, incidence):
+        picked = []
+        for v in members:
+            if budget[v]:
+                budget[v] -= 1
+                picked.append(v)
+                if len(picked) == demand:
+                    break
+        charged.append(picked)
+        flow += len(picked)
+    return charged, flow
+
+
 @dataclass(frozen=True)
 class ListOrientation:
     """Assignment of at most ell own vertices to every edge."""
@@ -251,9 +306,10 @@ def min_max_orientation_indexed(num_vertices: int, edges: list[tuple[int, ...]],
     exact least achievable maximum ell-outdegree c*.  A budget c is feasible
     precisely when the flow saturates the total demand.  The outdegrees sum
     to the total demand, so c* >= ceil(total / |V|), and feasibility only
-    grows with c; budgets are tried upward from that bound on a fresh network
-    each, so the first feasible one is c* and the selection is read off its
-    flow.
+    grows with c; budgets are tried upward from that bound, so the first
+    feasible one is c* and the selection is read off its flow.  At each
+    budget the greedy first phase runs alone, and a network is built only
+    when that phase leaves demand unmet.
     """
     demands = [max(len(e) - ell, 0) for e in edges]
     total = sum(demands)
@@ -263,13 +319,18 @@ def min_max_orientation_indexed(num_vertices: int, edges: list[tuple[int, ...]],
     positive = [d for d in demands if d > 0]
     c = -(-total // num_vertices)
     while True:
-        net = FlowNetwork(num_vertices, incidence, positive, c)
-        if net.max_flow() == total:
+        charged, flow = _greedy_first_phase(num_vertices, incidence, positive, c)
+        if flow < total:
+            net = FlowNetwork(num_vertices, incidence, positive, c)
+            net._load(charged)
+            flow += net.max_flow()
+            charged = net.charged()
+        if flow == total:
             break
         if c >= len(incidence):
             raise AssertionError("a budget of one per demanding edge must admit a saturating flow")
         c += 1
-    charged = iter(net.charged())
+    charged = iter(charged)
     selection = [frozenset(e) if d == 0 else frozenset(e).difference(next(charged))
                  for e, d in zip(edges, demands)]
     return selection, c

@@ -6,7 +6,8 @@ Two certificate styles are produced:
   over exact integers and shows the monomial family of bounded high support
   spans all functions on the class (rank == |H|).  The rank is computed mod
   the prime p = 2^61 - 1 first, which is a lower bound on the rank over Q;
-  fraction-free elimination runs only when the two could differ.
+  its rows are built as that rank reads them, and it stops at |H|.
+  Fraction-free elimination runs only when the two ranks could differ.
 * ``construct_q`` replays the inductive argument: peel a pattern with a
   deficient direction, interpolate its off-direction indicator on the
   projection recursively, multiply the single-variable correction factor,
@@ -221,21 +222,20 @@ def rank_bareiss(rows: list[list[int]], bit_cap: int = ELIMINATION_BIT_CAP) -> i
     return r
 
 
-def rank_mod_p(rows: list[list[int]]) -> int:
+def rank_mod_p(rows: Iterable[list[int]]) -> int:
     """Rank over GF(MODULUS), a lower bound on the rank over Q.
 
     Keeps the rows read so far as a reduced echelon basis stored by column:
     ``neg[f][j]`` is minus the entry of basis row j in the free (non-pivot)
     column f, so reducing a row is one dot product per free column.  Stops
-    reading rows once the rank reaches the column count.
+    reading rows once the rank reaches the column count, so rows produced
+    lazily past that point are never built.
     """
-    if not rows:
-        return 0
     pivots: list[int] = []
-    neg: dict[int, list[int]] = {f: [] for f in range(len(rows[0]))}
+    neg: Optional[dict[int, list[int]]] = None
     for row in rows:
-        if not neg:
-            break
+        if neg is None:
+            neg = {f: [] for f in range(len(row))}
         coeffs = [row[c] for c in pivots]
         reduced = {f: (row[f] + sum(map(mul, coeffs, col))) % MODULUS
                    for f, col in neg.items()}
@@ -251,16 +251,27 @@ def rank_mod_p(rows: list[list[int]]) -> int:
                 neg[f] = [(x + a * b) % MODULUS for x, a in zip(neg[f], above)]
             neg[f].append(-b % MODULUS)
         pivots.append(pivot)
+        if not neg:
+            break
     return len(pivots)
 
 
-def exact_rank(rows: list[list[int]]) -> int:
-    """Rank over Q of an integer matrix.  The rank mod p is exact when it
-    reaches min(rows, columns); otherwise ``rank_bareiss`` decides."""
-    rank = rank_mod_p(rows)
-    if not rows or rank == min(len(rows), len(rows[0])):
+def exact_rank(rows: Iterable[list[int]]) -> int:
+    """Rank over Q of an integer matrix given by its rows, which may be
+    produced lazily.  The rank mod p is exact when it reaches min(rows,
+    columns); otherwise ``rank_bareiss`` decides on the rows read.  Short of
+    the column count, ``rank_mod_p`` has read every row."""
+    read: list[list[int]] = []
+
+    def reading():
+        for row in rows:
+            read.append(row)
+            yield row
+
+    rank = rank_mod_p(reading())
+    if not read or rank in (len(read), len(read[0])):
         return rank
-    return rank_bareiss(rows)
+    return rank_bareiss(read)
 
 
 def spanning_certificate(h: HypothesisClass, ell: int, d: int,
@@ -285,14 +296,17 @@ def spanning_certificate(h: HypothesisClass, ell: int, d: int,
     pats = h.sorted_patterns()
     # powers[i][e][j] is the i-th coordinate of pattern j to the e-th power
     powers = [[[p[i] ** e for p in pats] for e in range(h.k)] for i in range(h.n)]
-    rows = []
-    for exp in mono.exponents:
-        row = [1] * len(pats)
-        for i, e in enumerate(exp):
-            if e:
-                row = list(map(mul, row, powers[i][e]))
-        rows.append(row)
-    rank = exact_rank(rows)
+
+    def rows():
+        # built on demand: the rank mod p stops reading at |H|
+        for exp in mono.exponents:
+            row = [1] * len(pats)
+            for i, e in enumerate(exp):
+                if e:
+                    row = list(map(mul, row, powers[i][e]))
+            yield row
+
+    rank = exact_rank(rows())
     return SpanReport(rank=rank, spans=rank == len(pats),
                       monomial_count=len(mono.exponents), class_size=len(pats))
 

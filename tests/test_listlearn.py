@@ -12,6 +12,7 @@ from pseudocube import (ExperimentConfig, HypothesisClass, ListClass,
                         make_task, orient_minmax, outdegrees, pac_learn,
                         population_error, predict_one_inclusion, project,
                         random_class, uc_experiment, verify_projection_bound)
+from pseudocube import listlearn
 from pseudocube.listlearn import (pac_sample_plan, _class_index, _draw_pairs, _predict,
                                   _trial_seed)
 
@@ -194,12 +195,14 @@ class TestPredictOneInclusion:
 
 @st.composite
 def prediction_cases(draw):
-    """A small class, a list predictor (either provider, or hand-made lists
-    that may hold -1 or k), a sample whose labels may repeat, contradict each
-    other or leave [0, k), a test instance that may or may not be sampled,
-    and ell."""
-    n, k = draw(st.integers(1, 4)), draw(st.integers(2, 3))
-    cells = list(product(range(k), repeat=n))
+    """A small class over up to 13 labels, a list predictor (either provider,
+    or hand-made lists that may hold -1 or k), a sample whose labels may
+    repeat, contradict each other or leave [0, k), a test instance that may
+    or may not be sampled, and ell.  The class takes at most three values
+    per instance, so large alphabets still give edges to orient."""
+    n, k = draw(st.integers(1, 4)), draw(st.integers(2, 13))
+    values = st.lists(st.integers(0, k - 1), min_size=1, max_size=3, unique=True)
+    cells = list(product(*(draw(values) for _ in range(n))))
     concepts = make(n, k, draw(st.lists(st.sampled_from(cells), min_size=1, max_size=12)))
     target = draw(st.sampled_from(concepts.sorted_patterns()))
     pair = st.integers(0, n - 1).flatmap(lambda u: st.tuples(
@@ -232,6 +235,35 @@ def _outcome(predict, *args):
 @given(prediction_cases())
 def test_prediction_matches_slow_path(case):
     assert _outcome(predict_one_inclusion, *case) == _outcome(slow_predict_one_inclusion, *case)
+
+
+def test_oriented_predictions_match_the_slow_path_past_base_ten(monkeypatch):
+    """Alphabets up to 13, lists narrower than the alphabet and classes
+    dense enough that the flow decides a fixed share of the predictions, so
+    the reduced problem's integer codes run with digits above 9."""
+    flows = []
+    orient = listlearn.min_max_orientation_indexed
+    monkeypatch.setattr(listlearn, "min_max_orientation_indexed",
+                        lambda *args: flows.append(args) or orient(*args))
+    rng = random.Random(2026)
+    wide = narrowed = 0
+    for _ in range(300):
+        n, k = rng.randint(2, 5), rng.randint(2, 13)
+        pools = [rng.sample(range(k), min(k, rng.randint(2, 3))) for _ in range(n)]
+        concepts = make(n, k, {tuple(map(rng.choice, pools)) for _ in range(rng.randint(1, 30))})
+        target = rng.choice(concepts.sorted_patterns())
+        narrow = rng.random() < 0.5
+        mu = ListPredictor(k, tuple(
+            frozenset(y for y in range(k) if not narrow or rng.random() < 0.7) | {target[u]}
+            for u in range(n)))
+        sample = [(u, target[u]) for u in rng.choices(range(n), k=rng.randint(0, 4))]
+        case = concepts, mu, sample, rng.randrange(n), rng.randint(1, 2)
+        before = len(flows)
+        assert _outcome(predict_one_inclusion, *case) == _outcome(slow_predict_one_inclusion, *case)
+        if len(flows) > before:
+            wide += k > 10
+            narrowed += any(p[u] not in mu(u) for p in concepts.patterns for u in range(n))
+    assert len(flows) >= 60 and wide >= 12 and narrowed >= 12
 
 
 def test_leave_one_out_misses_equal_the_outdegree():

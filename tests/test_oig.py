@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from pseudocube import (CapExceeded, HypothesisClass, build_oig, degree_stats,
                         exponential_dimension, is_downward_closed,
-                        max_density_bruteforce, orient_minmax, outdegrees,
+                        max_density_bruteforce, oig, orient_minmax, outdegrees,
                         shift, shift_fixed_point)
 from pseudocube.oig import format_orientation, min_max_orientation_indexed
 
@@ -227,6 +227,37 @@ class TestIndexedOrientation:
         assert cstar == 1
         for chosen, edge in zip(sel, [(0, 1), (0, 2)]):
             assert len(chosen) == 1 and chosen <= set(edge)
+
+
+class TestGreedyFirstPhase:
+    @staticmethod
+    def _count_networks(monkeypatch):
+        built = []
+        init = oig.FlowNetwork.__init__
+
+        def counting(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(oig.FlowNetwork, "__init__", counting)
+        return built
+
+    def test_a_saturating_greedy_pass_builds_no_network(self, monkeypatch):
+        built = self._count_networks(monkeypatch)
+        sel, cstar = min_max_orientation_indexed(3, [(0, 1), (0, 2)], 1)
+        assert built == [] and cstar == 1
+        assert sel == [frozenset({1}), frozenset({0})]
+
+    def test_a_stranded_edge_runs_the_second_phase(self, monkeypatch):
+        # at c = 1 the greedy pass charges 0 and 1 to the first edge, and the
+        # second edge finds both out of budget; the augmenting path
+        # e2 -> 0 -> e1 -> 2 frees vertex 0 for it
+        built = self._count_networks(monkeypatch)
+        edges = [(0, 1, 2), (0, 1)]
+        sel, cstar = min_max_orientation_indexed(3, edges, 1)
+        assert len(built) == 1 and built[0][3] == 1
+        assert cstar == 1
+        assert (sel, cstar) == bisect_min_max_orientation(3, edges, 1)
 
 
 @st.composite

@@ -189,6 +189,14 @@ class TestExactRank:
         rank = exact_rank(rows)
         assert rank == rank_bareiss(rows) == rank_fraction_pivot(rows)
         assert rank_mod_p(rows) <= rank
+        # rows may come lazily
+        assert exact_rank(iter(rows)) == rank
+        assert rank_mod_p(iter(rows)) == rank_mod_p(rows)
+
+    def test_reading_stops_at_the_column_count(self):
+        rows = iter([[1, 0], [0, 1], [1, 1], [2, 3]])
+        assert rank_mod_p(rows) == 2
+        assert next(rows) == [1, 1]
 
     def test_multiple_of_the_modulus_forces_the_fallback(self):
         rows = [[MODULUS, 0], [0, 1]]
@@ -250,6 +258,30 @@ class TestSpanningCertificate:
         h = make(2, 3, [(a, b) for a in range(2) for b in range(2)])
         rep = spanning_certificate(h, 1, 1, check_dim=False)
         assert seen == [3] and rep.rank == 3 and not rep.spans
+
+    def test_rows_past_full_rank_are_never_built(self, monkeypatch):
+        # at n=5, d=3 there are 131 monomials against |H| = 42..56, and the
+        # rank mod p reaches |H| after 85 or 99 rows
+        counts = []
+
+        def spy(rows):
+            read = [0]
+
+            def counted():
+                for row in rows:
+                    read[0] += 1
+                    yield row
+
+            rank = exact_rank(counted())
+            counts.append((read[0], sum(1 for _ in rows)))
+            return rank
+
+        monkeypatch.setattr(polycert, "exact_rank", spy)
+        for h in random_corpus(3, 5, 3, 0.2, seed0=0):
+            rep = spanning_certificate(h, 1, 3)
+            read, left = counts[-1]
+            assert rep.spans and rep.rank == len(h)
+            assert read < rep.monomial_count == read + left == 131
 
     def test_spans_at_full_grid_scale(self):
         corpus = (random_corpus(20, 4, 4, 0.15, seed0=720, max_size=40)
