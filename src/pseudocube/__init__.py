@@ -19,7 +19,7 @@ from .oig import (DegreeStats, Edge, ListOrientation, OneInclusionGraph,
                   build_oig, degree_stats, is_downward_closed,
                   max_density_bruteforce, orient_minmax, outdegrees, shift,
                   shift_fixed_point)
-from .polycert import (Certificate, MonomialSet, PeelingError, RationalPolynomial,
+from .polycert import (Certificate, PeelingError, RationalPolynomial,
                        SpanReport, construct_q, indicator_poly, load_certificate,
                        monomial_set, peeling_order, serialize_certificate,
                        spanning_certificate, verify_certificate)

@@ -11,14 +11,16 @@ Two certificate styles are produced:
 * ``construct_q`` replays the inductive argument: peel a pattern with a
   deficient direction, interpolate its off-direction indicator on the
   projection recursively, multiply the single-variable correction factor,
-  and collect polynomials whose evaluation matrix is unit triangular.
+  and collect polynomials whose evaluation matrix is unit triangular.  It
+  raises unless the result passes ``verify_certificate``, the one check of
+  a certificate: size bound, peel steps, basis support, triangularity.
 
 Peeling orders (``peeling_order`` and every level of ``construct_q``) are the
 traces of the one peel engine, ``dims.max_pseudocube_core``, and the witness
 value sets are read from the one line index, ``classes.lines``.  The
-verifier re-scans neighbours on its own, so it shares neither.  Replay and
-verifier do share one basis rule, ``_in_basis``, which reads the definition
-of the bounded-high set, so neither enumerates the basis; only
+verifier re-scans neighbours on its own, so it shares neither.  It checks
+basis support with ``_in_basis``, which reads the definition of the
+bounded-high set, so neither replay nor verifier enumerates the basis; only
 ``spanning_certificate`` builds it, through ``monomial_set``.
 
 Every reported value is exact.  A minor of an integer matrix that is nonzero
@@ -66,28 +68,18 @@ class PeelingError(RuntimeError):
     dimension budget is below the true DS dimension."""
 
 
-@dataclass(frozen=True)
-class MonomialSet:
-    """Exponent vectors e with 0 <= e_i < k and at most d coordinates >= ell."""
-
-    n: int
-    k: int
-    ell: int
-    d: int
-    exponents: tuple[Pattern, ...]
-
-
 def monomial_set(n: int, k: int, ell: int, d: int,
-                 cap: int = DEFAULT_ENUMERATION_CAP) -> MonomialSet:
-    """Enumerate the monomial basis; its cardinality equals the closed-form
-    size bound (asserted)."""
+                 cap: int = DEFAULT_ENUMERATION_CAP) -> tuple[Pattern, ...]:
+    """The monomial basis: exponent vectors e with 0 <= e_i < k and at most d
+    coordinates >= ell, in lexicographic order; its cardinality equals the
+    closed-form size bound (asserted)."""
     expected = ds_sauer_bound(n, k, ell, d)
     if expected > cap:
         raise CapExceeded(f"monomial set size {expected} exceeds cap {cap}")
     exps = tuple(iter_bounded_high_vectors(n, k, ell, d))
     if len(exps) != expected:
         raise AssertionError("monomial count must match the closed form")
-    return MonomialSet(n=n, k=k, ell=ell, d=d, exponents=exps)
+    return exps
 
 
 def _in_basis(exp: Pattern, n: int, k: int, ell: int, d: int) -> bool:
@@ -292,14 +284,14 @@ def spanning_certificate(h: HypothesisClass, ell: int, d: int,
         if d < true_d:
             raise ValueError(f"d={d} is below the DS dimension {true_d}; "
                              "the certificate would be meaningless")
-    mono = monomial_set(h.n, h.k, ell, d)
+    exponents = monomial_set(h.n, h.k, ell, d)
     pats = h.sorted_patterns()
     # powers[i][e][j] is the i-th coordinate of pattern j to the e-th power
     powers = [[[p[i] ** e for p in pats] for e in range(h.k)] for i in range(h.n)]
 
     def rows():
         # built on demand: the rank mod p stops reading at |H|
-        for exp in mono.exponents:
+        for exp in exponents:
             row = [1] * len(pats)
             for i, e in enumerate(exp):
                 if e:
@@ -308,7 +300,7 @@ def spanning_certificate(h: HypothesisClass, ell: int, d: int,
 
     rank = exact_rank(rows())
     return SpanReport(rank=rank, spans=rank == len(pats),
-                      monomial_count=len(mono.exponents), class_size=len(pats))
+                      monomial_count=len(exponents), class_size=len(pats))
 
 
 # ---------------------------------------------------------------------------
@@ -321,9 +313,9 @@ class Certificate:
 
     ``ordering`` lists all patterns; ``witnesses[t]`` is (direction, neighbor
     value set) for peeled steps and None for base-case (n == d) entries.
-    When polynomials are present, ``eval_matrix[i][j]`` holds the value of the
-    j-th polynomial at the i-th pattern, so A[i][i] == 1 and A[i][j] == 0 for
-    i > j, exactly.
+    ``q_polys[s]``, when present, is the basis polynomial of step s: it is 1
+    at ``ordering[s]`` and 0 at every later pattern, which
+    ``verify_certificate`` checks.
     """
 
     n: int
@@ -333,7 +325,6 @@ class Certificate:
     ordering: tuple[Pattern, ...]
     witnesses: tuple[Optional[tuple[int, tuple[int, ...]]], ...]
     q_polys: Optional[tuple[RationalPolynomial, ...]] = None
-    eval_matrix: Optional[tuple[tuple[Fraction, ...], ...]] = None
 
 
 def _peel(h: HypothesisClass, ell: int):
@@ -373,8 +364,9 @@ def construct_q(h: HypothesisClass, ell: int, d: int) -> Certificate:
     peel a deficient (pattern, direction), build the off-direction indicator
     on the projection by recursing with the same budget, and multiply the
     deficiency correction factor, whose degree in the witnessed variable
-    stays below ell.  The resulting evaluation matrix is unit triangular and
-    every polynomial is supported on the bounded-high monomial basis.
+    stays below ell.  The result is checked by ``verify_certificate``, the
+    one certificate check; a failure raises AssertionError with its first
+    message.
     """
     if h.is_empty:
         raise ValueError("cannot certify the empty class")
@@ -383,19 +375,12 @@ def construct_q(h: HypothesisClass, ell: int, d: int) -> Certificate:
     if not (1 <= ell <= h.k):
         raise ValueError(f"need 1 <= ell <= k, got ell={ell}, k={h.k}")
     ordering, witnesses, polys, _ = _construct(h, ell, d, {}, {})
-    matrix = tuple(tuple(q.evaluate(p) for q in polys) for p in ordering)
-    for i in range(len(ordering)):
-        if matrix[i][i] != 1:
-            raise AssertionError(f"diagonal entry {i} is {matrix[i][i]}, expected 1")
-        for j in range(i):
-            if matrix[i][j] != 0:
-                raise AssertionError(f"entry ({i},{j}) is {matrix[i][j]}, expected 0")
-    # each distinct exponent once, in order of first use
-    for exp in dict.fromkeys(exp for q in polys for exp, _ in q.terms):
-        if not _in_basis(exp, h.n, h.k, ell, d):
-            raise AssertionError(f"monomial {exp} escapes the bounded-high basis")
-    return Certificate(n=h.n, k=h.k, ell=ell, d=d, ordering=ordering,
-                       witnesses=witnesses, q_polys=polys, eval_matrix=matrix)
+    cert = Certificate(n=h.n, k=h.k, ell=ell, d=d, ordering=ordering,
+                       witnesses=witnesses, q_polys=polys)
+    report = verify_certificate(cert, h)
+    if not report.ok:
+        raise AssertionError(f"replayed certificate fails: {report.failures[0]}")
+    return cert
 
 
 def _construct(h: HypothesisClass, ell: int, d: int, memo: dict,
@@ -579,8 +564,11 @@ def verify_certificate(cert: Certificate, h: HypothesisClass) -> VerifyReport:
     Validates that the class size is within ds_sauer_bound(n, k, ell, d), the
     ordering is a permutation of the class, each witnessed step is deficient
     within its suffix with the recorded value set, and (when polynomials are
-    present) support, per-variable degrees, and exact unit triangularity of
-    the evaluation matrix.
+    present) that every term lies in the bounded-high basis and that poly s
+    is exactly 1 at pattern s and 0 at every later pattern t, so the
+    evaluation matrix is unit triangular.  Only these entries (t >= s) are
+    evaluated.  This is the one certificate check; ``construct_q`` runs it on
+    what it replays.
 
     Only the polynomials prove the size bound.  A peeling order alone shows
     only that no (ell+1)-pseudo-cube spans all n coordinates.
@@ -617,7 +605,7 @@ def verify_certificate(cert: Certificate, h: HypothesisClass) -> VerifyReport:
                     failures.append(f"poly {s}: monomial {exp} outside the basis")
                     break
         for t, p in enumerate(cert.ordering):
-            for s, q in enumerate(cert.q_polys):
+            for s, q in enumerate(cert.q_polys[:t + 1]):
                 value = q.evaluate(p)
                 if t == s and value != 1:
                     failures.append(f"diagonal ({t},{s}) is {value}, expected 1")

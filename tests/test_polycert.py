@@ -30,20 +30,20 @@ def make(n, k, pats):
 class TestMonomialSet:
     def test_small(self):
         ms = monomial_set(2, 2, 1, 1)
-        assert set(ms.exponents) == {(0, 0), (1, 0), (0, 1)}
+        assert set(ms) == {(0, 0), (1, 0), (0, 1)}
 
     def test_d_equals_n_gives_all(self):
-        assert len(monomial_set(3, 3, 1, 3).exponents) == 27
+        assert len(monomial_set(3, 3, 1, 3)) == 27
 
     def test_ell_equals_k_gives_all(self):
-        assert len(monomial_set(3, 3, 3, 0).exponents) == 27
+        assert len(monomial_set(3, 3, 3, 0)) == 27
 
     def test_cardinality_matches_bound(self):
         for n in range(1, 7):
             for k in range(2, 6):
                 for ell in range(1, k + 1):
                     for d in range(n + 1):
-                        assert len(monomial_set(n, k, ell, d).exponents) == \
+                        assert len(monomial_set(n, k, ell, d)) == \
                             ds_sauer_bound(n, k, ell, d)
 
 
@@ -331,11 +331,43 @@ class TestPeelingOrder:
 class TestConstructQ:
     def test_three_corners_unit_triangular(self):
         cert = construct_q(THREE, 1, 1)
-        m = cert.eval_matrix
-        for i in range(3):
-            assert m[i][i] == 1
+        for i, p in enumerate(cert.ordering):
+            assert cert.q_polys[i].evaluate(p) == 1
             for j in range(i):
-                assert m[i][j] == 0
+                assert cert.q_polys[j].evaluate(p) == 0
+
+    def test_construction_fault_raises_the_verifier_failure(self, monkeypatch):
+        lagrange, verify = polycert._lagrange_coeffs, polycert.verify_certificate
+        reports = []
+
+        def halved(value, exclude):
+            coeffs, den = lagrange(value, exclude)
+            return coeffs, 2 * den
+
+        def recording(cert, h):
+            reports.append(verify(cert, h))
+            return reports[-1]
+
+        monkeypatch.setattr(polycert, "_lagrange_coeffs", halved)
+        monkeypatch.setattr(polycert, "verify_certificate", recording)
+        with pytest.raises(AssertionError) as exc:
+            construct_q(THREE, 1, 1)
+        assert [r.ok for r in reports] == [False]
+        assert str(exc.value) == f"replayed certificate fails: {reports[0].failures[0]}"
+        assert reports[0].failures[0] == "diagonal (0,0) is 1/4, expected 1"
+
+    def test_verify_evaluates_only_the_checked_entries(self, monkeypatch):
+        h = extremal_class(3, 3, 2, 1)
+        cert, loaded = load_certificate(serialize_certificate(construct_q(h, 2, 1), h))
+        evaluate, calls = RationalPolynomial.evaluate, []
+
+        def counting(self, point):
+            calls.append(point)
+            return evaluate(self, point)
+
+        monkeypatch.setattr(RationalPolynomial, "evaluate", counting)
+        assert verify_certificate(cert, loaded).ok
+        assert len(calls) == len(h) * (len(h) + 1) // 2
 
     def test_base_case_indicators(self):
         h = make(2, 3, [(0, 1), (2, 2), (1, 0)])
@@ -357,7 +389,7 @@ class TestConstructQ:
     def test_support_within_monomial_set(self):
         h = extremal_class(2, 4, 2, 1)
         cert = construct_q(h, 2, 1)
-        allowed = set(monomial_set(2, 4, 2, 1).exponents)
+        allowed = set(monomial_set(2, 4, 2, 1))
         for q in cert.q_polys:
             assert {e for e, _ in q.terms} <= allowed
 
@@ -504,7 +536,7 @@ def test_lex_standard_monomials_can_leave_the_bounded_high_basis():
     assert ds_dimension(h, 1).value == 1
     assert len(h) == ds_sauer_bound(2, 3, 1, 1) == 5
     assert spanning_certificate(h, 1, 1).spans
-    basis = set(monomial_set(2, 3, 1, 1).exponents)
+    basis = set(monomial_set(2, 3, 1, 1))
     assert (1, 1) not in basis
     assert lex_standard_monomials(h, (0, 1)) == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1)]
     assert lex_standard_monomials(h, (1, 0)) == [(0, 0), (1, 0), (2, 0), (0, 1), (1, 1)]
