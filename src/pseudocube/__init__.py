@@ -10,8 +10,7 @@ from .classes import (CapExceeded, ClassFormatError, HypothesisClass, Pattern,
                       random_class, serialize_class, serialize_class_json)
 from .dims import (DimensionResult, ListClass, PseudoCubeReport, ds_dimension,
                    ds_shattered, exponential_dimension, graph_dimension,
-                   is_pseudocube, max_pseudocube_core, natarajan_dimension,
-                   natarajan_shattered)
+                   max_pseudocube_core, natarajan_dimension, natarajan_shattered)
 from .bounds import (AppendixReport, BoundReport, BoundViolation, appendix_check,
                      ds_sauer_bound, extremal_class, natarajan_sauer_bound,
                      turan_reference, verify_sauer)

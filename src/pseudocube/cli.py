@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import multiprocessing
 import sys
 from fractions import Fraction
 
@@ -303,6 +302,7 @@ def _cmd_sweep(args, out) -> int:
         classes = [(i, h) for i, h in classes if not h.is_empty]
     items = [(idx, h, args.ell) for idx, h in classes]
     if args.jobs > 1:
+        import multiprocessing
         # output order stays canonical: map preserves item order
         with multiprocessing.Pool(args.jobs) as pool:
             results = pool.map(_sweep_row, items, chunksize=64)

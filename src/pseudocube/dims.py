@@ -25,17 +25,18 @@ L+1 has no hit, so L orders the work but does not decide the answer.  They
 also leave out every coordinate that takes at most ell values, which is in no
 shattered set.
 
-Both the DS and the Natarajan search ask a cube-mask kernel of each
-coordinate set S.  The kernel lays proj_S(H) out as one int, a bit per cell
-of [k]^d.  For DS it clears the deficient lines of one direction at a time
+The DS and the Natarajan search are one driver, ``_closed_dimension``, which
+takes the kernel and the set path of its kind.  It asks the cube-mask kernel
+of each coordinate set S, which gets proj_S(H) as one int, a bit per cell of
+[k]^d.  For DS it clears the deficient lines of one direction at a time
 with bit-sliced line counts until no direction changes: the fixed point is
 the maximal (ell+1)-pseudo-cube as a set of cells.  For Natarajan it slices
 the int by the values of one digit at a time and ANDs ell+1 slices, which
 intersects the suffix sets of ell+1 values, looking for the factor sets of
 an (ell+1)-cube.  Its work follows k^d where the set path's follows |H| d, so
-a set with k^d > 1024 |H| falls back to the set path, ``ds_shattered`` or
-``natarajan_shattered``.  Each search ends with one set-path call on its
-witness, which must agree with the kernel, else it raises.
+the driver sends a set with k^d > 1024 |H| to the set path, ``ds_shattered``
+or ``natarajan_shattered``.  It ends with one set-path call on the witness,
+which must agree with the kernel, else it raises.
 ``max_pseudocube_core``, the heap behind ``ds_shattered``, stays the one
 peel engine and the only source of peel traces: the peeling orders of the
 certificates in ``polycert`` are its traces, and the DS witness structure
@@ -82,15 +83,6 @@ class DimensionResult:
     value: int
     witness: Coords
     witness_structure: object = None
-
-
-def is_pseudocube(b: HypothesisClass, m: int) -> bool:
-    """True iff every pattern of ``b`` has >= m-1 neighbors in every direction."""
-    if b.is_empty:
-        raise ValueError("the empty class is not a pseudo-cube of any order")
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    return all(len(members) >= m for members in lines(b.patterns, range(b.n)).values())
 
 
 def max_pseudocube_core(p: HypothesisClass, m: int) -> PseudoCubeReport:
@@ -286,22 +278,18 @@ def _cube_core(cells: int, k: int, zero: tuple[int, ...], m: int) -> int:
     return cells
 
 
-def ds_dimension(h: HypothesisClass, ell: int) -> DimensionResult:
-    """Largest coordinate set whose projection contains an (ell+1)-pseudo-cube.
+def _closed_dimension(h: HypothesisClass, ell: int, kernel, set_path) -> DimensionResult:
+    """The search that DS and Natarajan shattering share, both being closed
+    under subsets: sizes of the live coordinates are probed upward from the
+    Sauer lower bound (see ``_search``), ties going to the lexicographically
+    smallest set.
 
-    Probes subset sizes of the live coordinates upward from the Sauer lower
-    bound (see ``_search``); ties among witnesses break toward the
-    lexicographically smallest coordinate set.
-
-    The cube-mask kernel (``_cube_core``) answers the search for a d-set while
-    k^d <= 1024 |H|, and ``ds_shattered``, the heap, above that.  The heap
-    stays the one peel engine and the only source of peel traces: the witness
-    structure is its core of the witness projection, from one ``ds_shattered``
-    call after the search, which must agree with the kernel cell for cell, else
-    this raises.
-    """
-    if _preconditions(h, ell, f"no line can hold {ell + 1} distinct values, "):
-        return DimensionResult(0, ())
+    A d-set with k^d <= 1024 |H| is tested by ``kernel(cells, k, zero, ell + 1)``
+    on its cube mask, ``zero`` being ``_digit_zero(k, d)``; a larger one by
+    ``set_path(h, coords, ell)``.  After the search, one ``set_path`` call on
+    the witness gives the witness structure.  It must agree with the kernel's
+    answer, compared as cells when that answer is a cell set (DS), else this
+    raises ``RuntimeError``."""
     k, cols = h.k, list(zip(*h.patterns))
     cap = _KERNEL_CELLS_PER_PATTERN * len(h)
     zero: dict[int, tuple[int, ...]] = {}
@@ -309,45 +297,56 @@ def ds_dimension(h: HypothesisClass, ell: int) -> DimensionResult:
     def shattered(coords):
         d = len(coords)
         if k ** d > cap:
-            return ds_shattered(h, coords, ell)
+            return set_path(h, coords, ell)
         if d not in zero:
             zero[d] = _digit_zero(k, d)
-        return _cube_core(_cube_mask(cols, coords, k), k, zero[d], ell + 1) or None
+        return kernel(_cube_mask(cols, coords, k), k, zero[d], ell + 1)
 
     res = _search(_live(cols, ell), len(h), ell + 1, shattered,
-                  lower=_sauer_lower(h.n, h.k, ell, len(h)))
+                  lower=_sauer_lower(h.n, k, ell, len(h)))
     if not res.value:
         return res
-    core = ds_shattered(h, res.witness, ell)
-    cells = res.witness_structure
-    if core is None or (isinstance(cells, int)
-                        and _cube_mask(list(zip(*core.patterns)), tuple(range(res.value)), k)
-                        != cells):
-        raise RuntimeError(f"the heap peel and the cube-mask kernel disagree on the "
-                           f"core of the projection onto {res.witness}")
-    return DimensionResult(res.value, res.witness, core)
+    found = seen = set_path(h, res.witness, ell)
+    if found is not None and isinstance(res.witness_structure, int):
+        seen = _cube_mask(list(zip(*found.patterns)), tuple(range(res.value)), k)
+    if seen != res.witness_structure:
+        raise RuntimeError(f"the set path and the cube-mask kernel disagree on the "
+                           f"projection onto {res.witness}")
+    return DimensionResult(res.value, res.witness, found)
 
 
-def _cube_factors(by_value: dict[int, set[Pattern]], d: int, ell1: int):
-    """Search for factor sets Y_1 x ... x Y_d inside a projection, given the
-    suffix sets of each first-coordinate value.  Returns the factors or None."""
+def ds_dimension(h: HypothesisClass, ell: int) -> DimensionResult:
+    """Largest coordinate set whose projection contains an (ell+1)-pseudo-cube.
+
+    The search is ``_closed_dimension``'s, with the cube-mask kernel
+    ``_cube_core`` and the heap ``ds_shattered`` as the set path.  The heap
+    stays the one peel engine and the only source of peel traces: the witness
+    structure is its core of the witness projection, which must agree with
+    the kernel cell for cell, else this raises.
+    """
+    if _preconditions(h, ell, f"no line can hold {ell + 1} distinct values, "):
+        return DimensionResult(0, ())
+    return _closed_dimension(
+        h, ell, lambda cells, k, zero, m: _cube_core(cells, k, zero, m) or None, ds_shattered)
+
+
+def _cube_factors(patterns: Iterable[Pattern], d: int, ell1: int):
+    """Search for factor sets Y_1 x ... x Y_d inside a projection by grouping
+    its patterns into the suffix sets of each first-coordinate value.  Returns
+    the factors or None."""
+    by_value: dict[int, set[Pattern]] = defaultdict(set)
+    for p in patterns:
+        by_value[p[0]].add(p[1:])
     for ys in combinations(sorted(by_value), ell1):
         common: set[Pattern] = set.intersection(*(by_value[y] for y in ys))
         if len(common) < ell1 ** (d - 1):
             continue
         if d == 1:
             return (frozenset(ys),)
-        rest = _cube_factors(_group_suffixes(common), d - 1, ell1)
+        rest = _cube_factors(common, d - 1, ell1)
         if rest is not None:
             return (frozenset(ys),) + rest
     return None
-
-
-def _group_suffixes(patterns: Iterable[Pattern]) -> dict[int, set[Pattern]]:
-    by_value: dict[int, set[Pattern]] = defaultdict(set)
-    for p in patterns:
-        by_value[p[0]].add(p[1:])
-    return by_value
 
 
 def _cube_mask_factors(cells: int, k: int, low: tuple[int, ...], ell1: int, j: int = 0):
@@ -380,38 +379,20 @@ def natarajan_shattered(h: HypothesisClass, coords: Coords, ell: int):
     ``natarajan_dimension`` calls it once after its search, for the witness;
     the search itself asks the cube-mask kernel, and asks this only of sets
     with k^d > 1024 |H|."""
-    pats = project(h, coords).patterns
-    return _cube_factors(_group_suffixes(pats), len(coords), ell + 1)
+    return _cube_factors(project(h, coords).patterns, len(coords), ell + 1)
 
 
 def natarajan_dimension(h: HypothesisClass, ell: int) -> DimensionResult:
     """Largest coordinate set whose projection contains an (ell+1)-cube.
 
-    The search runs as in ``ds_dimension``: the cube-mask kernel
-    (``_cube_mask_factors``) tests a d-set while k^d <= 1024 |H|, and
-    ``natarajan_shattered`` above that.  The witness factors are checked by
-    one ``natarajan_shattered`` call after the search, which must return the
-    same factors, else this raises."""
+    The search is ``_closed_dimension``'s, with the cube-mask kernel
+    ``_cube_mask_factors``, which takes the prefix ANDs of the digit masks,
+    and ``natarajan_shattered`` as the set path, which must return the
+    kernel's factors for the witness, else this raises."""
     if _preconditions(h, ell, ""):
         return DimensionResult(0, ())
-    k, cols = h.k, list(zip(*h.patterns))
-    cap = _KERNEL_CELLS_PER_PATTERN * len(h)
-    low: dict[int, tuple[int, ...]] = {}
-
-    def shattered(coords):
-        d = len(coords)
-        if k ** d > cap:
-            return natarajan_shattered(h, coords, ell)
-        if d not in low:
-            low[d] = tuple(accumulate(_digit_zero(k, d), and_))
-        return _cube_mask_factors(_cube_mask(cols, coords, k), k, low[d], ell + 1)
-
-    res = _search(_live(cols, ell), len(h), ell + 1, shattered,
-                  lower=_sauer_lower(h.n, h.k, ell, len(h)))
-    if res.value and natarajan_shattered(h, res.witness, ell) != res.witness_structure:
-        raise RuntimeError(f"the set search and the cube-mask kernel disagree on the "
-                           f"factors of the projection onto {res.witness}")
-    return res
+    return _closed_dimension(h, ell, lambda cells, k, zero, m: _cube_mask_factors(
+        cells, k, tuple(accumulate(zero, and_)), m), natarajan_shattered)
 
 
 def exponential_dimension(h: HypothesisClass, ell: int) -> DimensionResult:

@@ -68,14 +68,13 @@ class PeelingError(RuntimeError):
     dimension budget is below the true DS dimension."""
 
 
-def monomial_set(n: int, k: int, ell: int, d: int,
-                 cap: int = DEFAULT_ENUMERATION_CAP) -> tuple[Pattern, ...]:
+def monomial_set(n: int, k: int, ell: int, d: int) -> tuple[Pattern, ...]:
     """The monomial basis: exponent vectors e with 0 <= e_i < k and at most d
     coordinates >= ell, in lexicographic order; its cardinality equals the
     closed-form size bound (asserted)."""
     expected = ds_sauer_bound(n, k, ell, d)
-    if expected > cap:
-        raise CapExceeded(f"monomial set size {expected} exceeds cap {cap}")
+    if expected > DEFAULT_ENUMERATION_CAP:
+        raise CapExceeded(f"monomial set size {expected} exceeds cap {DEFAULT_ENUMERATION_CAP}")
     exps = tuple(iter_bounded_high_vectors(n, k, ell, d))
     if len(exps) != expected:
         raise AssertionError("monomial count must match the closed form")
@@ -103,13 +102,6 @@ class RationalPolynomial:
     n: int
     terms: tuple[tuple[Pattern, int], ...]
     den: int
-
-    @classmethod
-    def from_dict(cls, n: int, terms: dict[Pattern, Fraction]) -> "RationalPolynomial":
-        """From rational (or integer) coefficients."""
-        den = math.lcm(*(c.denominator for c in terms.values()))
-        return cls._over(n, ((e, c.numerator * den // c.denominator)
-                             for e, c in terms.items()), den)
 
     @classmethod
     def _over(cls, n: int, terms: _Terms, den: int) -> "RationalPolynomial":
@@ -179,13 +171,14 @@ class SpanReport:
     class_size: int
 
 
-def rank_bareiss(rows: list[list[int]], bit_cap: int = ELIMINATION_BIT_CAP) -> int:
+def rank_bareiss(rows: list[list[int]]) -> int:
     """Rank by fraction-free (division-free until exact) elimination with
-    first-nonzero pivoting.  Intermediate growth beyond ``bit_cap`` bits
-    raises instead of silently degrading."""
+    first-nonzero pivoting.  Intermediate growth beyond
+    ``ELIMINATION_BIT_CAP`` bits raises instead of silently degrading."""
     m = [list(r) for r in rows]
     if not m:
         return 0
+    bit_cap = ELIMINATION_BIT_CAP
     nrows, ncols = len(m), len(m[0])
     prev = 1
     r = 0

@@ -9,6 +9,10 @@ and shares the flow orientation with it, so it checks everything in front of
 the flow.  The bisecting orientation and ``max_flow_value`` share the flow
 network, so they check the budget search and the flow lemmas.  The lex
 standard monomials use the package's exact rank.
+
+Two helpers only build or test inputs: ``is_pseudocube`` reads the
+definition off the line index, and ``poly_from_dict`` writes rational
+coefficients in the package's polynomial form.
 """
 
 import math
@@ -16,11 +20,20 @@ from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
 
-from pseudocube import HypothesisClass, RealizabilityError, is_pseudocube
+from pseudocube import HypothesisClass, RationalPolynomial, RealizabilityError
 from pseudocube.classes import lines
 from pseudocube.oig import (FlowNetwork, is_downward_closed, min_max_orientation_indexed,
                             shift)
 from pseudocube.polycert import exact_rank
+
+
+def is_pseudocube(b: HypothesisClass, m: int) -> bool:
+    """True iff every pattern of ``b`` has >= m-1 neighbors in every direction."""
+    if b.is_empty:
+        raise ValueError("the empty class is not a pseudo-cube of any order")
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
+    return all(len(members) >= m for members in lines(b.patterns, range(b.n)).values())
 
 
 def brute_max_pseudocube(p: HypothesisClass, m: int) -> frozenset:
@@ -320,3 +333,11 @@ def fraction_evaluate(poly, point) -> Fraction:
                 value *= x ** e
         total += Fraction(numerator, poly.den) * value
     return total
+
+
+def poly_from_dict(n: int, terms: dict) -> RationalPolynomial:
+    """The ``RationalPolynomial`` with rational (or integer) coefficients
+    ``terms``, exponent vector -> coefficient."""
+    den = math.lcm(*(c.denominator for c in terms.values()))
+    return RationalPolynomial._over(n, ((e, c.numerator * den // c.denominator)
+                                        for e, c in terms.items()), den)

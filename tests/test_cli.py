@@ -511,6 +511,16 @@ class TestModuleEntryPoint:
         assert proc.returncode == expected
 
 
+def test_importing_the_cli_leaves_multiprocessing_out():
+    """Only ``sweep`` with ``--jobs`` above 1 uses ``multiprocessing``, so a
+    fresh import of the command line, which every run pays, does not load it."""
+    import subprocess, sys
+    proc = subprocess.run([sys.executable, "-c", "import sys, pseudocube.cli; "
+                           "print('multiprocessing' in sys.modules)"],
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout == "False\n"
+
+
 class TestErrors:
     def test_unknown_subcommand_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

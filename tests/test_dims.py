@@ -7,15 +7,14 @@ from hypothesis import given, settings, strategies as st
 
 from pseudocube import (CapExceeded, HypothesisClass, ListClass, ds_dimension,
                         ds_shattered, exponential_dimension, extremal_class,
-                        graph_dimension, is_pseudocube, max_pseudocube_core,
-                        natarajan_dimension, natarajan_shattered, project,
-                        random_class)
+                        graph_dimension, max_pseudocube_core, natarajan_dimension,
+                        natarajan_shattered, project, random_class)
 from pseudocube import dims, oig
 from pseudocube.dims import graph_shattered
 
 from conftest import all_classes, random_corpus
 from oracles import (brute_ds_dimension, brute_max_pseudocube, first_shattered,
-                     shift_path_exists)
+                     is_pseudocube, shift_path_exists)
 
 PAPER_CYCLE = HypothesisClass.from_patterns(
     2, 7, [(1, 2), (3, 2), (3, 4), (5, 4), (5, 6), (1, 6)])
@@ -218,6 +217,19 @@ class TestCubeKernel:
 
     def test_a_disagreeing_witness_peel_raises(self, monkeypatch):
         monkeypatch.setattr(dims, "ds_shattered", lambda h, coords, ell: None)
+        with pytest.raises(RuntimeError, match="disagree"):
+            ds_dimension(PAPER_CYCLE, 1)
+
+    def test_a_kernel_core_missing_one_cell_raises(self, monkeypatch):
+        # a nonempty core has at least (ell+1)^d >= 2 cells, so dropping its
+        # lowest keeps every search answer and only the witness check sees it
+        core = dims._cube_core
+
+        def short(cells, k, zero, m):
+            found = core(cells, k, zero, m)
+            return found & (found - 1)
+
+        monkeypatch.setattr(dims, "_cube_core", short)
         with pytest.raises(RuntimeError, match="disagree"):
             ds_dimension(PAPER_CYCLE, 1)
 

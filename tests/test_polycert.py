@@ -8,7 +8,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pseudocube import (HypothesisClass, PeelingError, RationalPolynomial,
+from pseudocube import (CapExceeded, HypothesisClass, PeelingError, RationalPolynomial,
                         construct_q, ds_dimension, ds_sauer_bound, extremal_class,
                         indicator_poly, load_certificate, max_pseudocube_core,
                         monomial_set, peeling_order, serialize_certificate,
@@ -18,7 +18,8 @@ from pseudocube.polycert import (MODULUS, VerifyReport, exact_rank, rank_bareiss
                                  rank_mod_p)
 
 from conftest import all_classes, random_corpus
-from oracles import fraction_evaluate, lex_standard_monomials, rank_fraction_pivot
+from oracles import (fraction_evaluate, lex_standard_monomials, poly_from_dict,
+                     rank_fraction_pivot)
 
 THREE = HypothesisClass.from_patterns(2, 2, [(0, 0), (0, 1), (1, 0)])
 
@@ -80,7 +81,7 @@ def polynomials_and_points(draw):
                        | st.integers(-3, 3), st.integers(1, 10 ** 12) | st.integers(1, 6))
     terms = draw(st.dictionaries(exps, coeffs, max_size=8))
     point = draw(st.tuples(*[st.integers(0, k - 1) | st.just(0)] * n))
-    return RationalPolynomial.from_dict(n, terms), point
+    return poly_from_dict(n, terms), point
 
 
 class TestEvaluate:
@@ -91,11 +92,11 @@ class TestEvaluate:
         assert poly.evaluate(point) == fraction_evaluate(poly, point)
 
     def test_empty_term_list_is_zero(self):
-        assert RationalPolynomial.from_dict(2, {}).evaluate((0, 1)) == 0
+        assert poly_from_dict(2, {}).evaluate((0, 1)) == 0
 
     def test_zero_base_drops_only_terms_with_a_positive_exponent(self):
-        poly = RationalPolynomial.from_dict(2, {(0, 0): Fraction(1, 3), (1, 0): Fraction(5, 2),
-                                               (0, 2): Fraction(-7, 4)})
+        poly = poly_from_dict(2, {(0, 0): Fraction(1, 3), (1, 0): Fraction(5, 2),
+                                  (0, 2): Fraction(-7, 4)})
         assert poly.evaluate((0, 2)) == Fraction(1, 3) - 7
         assert poly.evaluate((0, 0)) == Fraction(1, 3)
 
@@ -123,15 +124,15 @@ class TestCanonicalForm:
     @given(rational_term_dicts(), st.integers(-10 ** 6, 10 ** 6).filter(bool))
     def test_every_way_of_writing_a_polynomial_gives_one_form(self, case, scale):
         n, terms, zeros = case
-        poly = RationalPolynomial.from_dict(n, terms)
+        poly = poly_from_dict(n, terms)
         common = math.lcm(*(c.denominator for c in terms.values()))
         forms = [
             # zero coefficients, as ints and as fractions
-            RationalPolynomial.from_dict(n, {**terms, **{e: Fraction(0, 7) for e in zeros},
-                                             **{e: 0 for e in list(zeros)[:1]}}),
+            poly_from_dict(n, {**terms, **{e: Fraction(0, 7) for e in zeros},
+                               **{e: 0 for e in list(zeros)[:1]}}),
             # integer coefficients given as ints
-            RationalPolynomial.from_dict(n, {e: c.numerator if c.denominator == 1 else c
-                                             for e, c in terms.items()}),
+            poly_from_dict(n, {e: c.numerator if c.denominator == 1 else c
+                               for e, c in terms.items()}),
             # numerators over a scaled, possibly negative, denominator
             RationalPolynomial._over(n, [(e, int(c * common) * scale) for e, c in terms.items()]
                                      + [(e, 0) for e in zeros], common * scale),
@@ -250,14 +251,23 @@ class TestSpanningCertificate:
         # rows 1, x, x^2, y, y^2 satisfy x^2 = x and y^2 = y on it: rank 3 < 4
         seen = []
 
-        def spy(rows, bit_cap=polycert.ELIMINATION_BIT_CAP):
-            seen.append(rank_bareiss(rows, bit_cap))
+        def spy(rows):
+            seen.append(rank_bareiss(rows))
             return seen[-1]
 
         monkeypatch.setattr(polycert, "rank_bareiss", spy)
         h = make(2, 3, [(a, b) for a in range(2) for b in range(2)])
         rep = spanning_certificate(h, 1, 1, check_dim=False)
         assert seen == [3] and rep.rank == 3 and not rep.spans
+
+    def test_elimination_growth_past_the_bit_cap_raises(self, monkeypatch):
+        # the same rank-deficient {0,1}^2 runs fraction-free elimination,
+        # whose entries stay in {-1, 0, 1}; at a cap of 0 bits the first
+        # nonzero one raises
+        monkeypatch.setattr(polycert, "ELIMINATION_BIT_CAP", 0)
+        h = make(2, 3, [(a, b) for a in range(2) for b in range(2)])
+        with pytest.raises(CapExceeded, match=r"^entry exceeded 0 bits during elimination$"):
+            spanning_certificate(h, 1, 1, check_dim=False)
 
     def test_rows_past_full_rank_are_never_built(self, monkeypatch):
         # at n=5, d=3 there are 131 monomials against |H| = 42..56, and the
@@ -415,7 +425,7 @@ class TestConstructQ:
         assert verify_certificate(cert, THREE).ok
         # two high exponents at d=1, an exponent equal to k, the wrong length
         for exp in ((1, 1), (2, 0), (0,), (0, 0, 0)):
-            bad = RationalPolynomial.from_dict(2, {exp: Fraction(1)})
+            bad = poly_from_dict(2, {exp: Fraction(1)})
             rep = verify_certificate(replace(cert, q_polys=(bad,) + cert.q_polys[1:]), THREE)
             assert "poly 0: monomial" in rep.failures[0] and "outside the basis" in rep.failures[0]
 
