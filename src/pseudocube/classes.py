@@ -15,6 +15,7 @@ import json
 import random
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from typing import Iterable, Iterator, Sequence
 
@@ -42,6 +43,9 @@ class HypothesisClass:
 
     The empty class is representable (several operations reject it in their
     own preconditions); ``is_empty`` flags it.
+
+    ``columns`` and ``label_masks``, the one per-class layout, are built on
+    first use and kept; they take no part in equality or hashing.
     """
 
     n: int
@@ -77,6 +81,21 @@ class HypothesisClass:
 
     def __contains__(self, pattern) -> bool:
         return tuple(pattern) in self.patterns
+
+    @cached_property
+    def columns(self) -> tuple[tuple[int, ...], ...]:
+        """``columns[u][i]`` is the label of pattern i at u, the patterns in
+        their iteration order; n empty tuples for the empty class."""
+        return tuple(zip(*self.patterns)) or ((),) * self.n
+
+    @cached_property
+    def label_masks(self) -> tuple[tuple[int, ...], ...]:
+        """Bit i of ``label_masks[u][y]`` is set when pattern i, in the order
+        of ``columns``, has label y at u."""
+        # each mask is parsed from a bit string, in time linear in the class size
+        return tuple(tuple(int("0" + "".join("1" if v == y else "0" for v in reversed(col)), 2)
+                           for y in range(self.k))
+                     for col in self.columns)
 
 
 def validate_coords(coords: Iterable[int], n: int) -> Coords:

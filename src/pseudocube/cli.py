@@ -200,6 +200,8 @@ def _cmd_cert(args, out) -> int:
         for msg in report.failures:
             _emit(out, f"failure: {msg}")
         return EXIT_OK if report.ok else EXIT_VERIFY_FAILED
+    if args.input is None:
+        raise ValueError(f"cert {args.action} needs --input")
     h = _read_class(args.input)
     d = args.d if args.d is not None else ds_dimension(h, args.ell).value
     if args.action == "span":

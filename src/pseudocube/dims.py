@@ -225,10 +225,9 @@ _KERNEL_CELLS_PER_PATTERN = 1024
 _BITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
-def _cube_mask(cols: list[tuple[int, ...]], coords: Coords, k: int) -> int:
+def _cube_mask(cols: tuple[tuple[int, ...], ...], coords: Coords, k: int) -> int:
     """The projection onto ``coords`` as one int: bit sum_j p_j k^j is set for
-    each projected pattern p, where ``cols[c]`` holds every pattern's value
-    at coordinate c."""
+    each projected pattern p, where ``cols`` is a class's ``columns``."""
     index = cols[coords[-1]]
     for c in reversed(coords[:-1]):
         index = map(add, map(mul, index, repeat(k)), cols[c])
@@ -290,7 +289,7 @@ def _closed_dimension(h: HypothesisClass, ell: int, kernel, set_path) -> Dimensi
     the witness gives the witness structure.  It must agree with the kernel's
     answer, compared as cells when that answer is a cell set (DS), else this
     raises ``RuntimeError``."""
-    k, cols = h.k, list(zip(*h.patterns))
+    k, cols = h.k, h.columns
     cap = _KERNEL_CELLS_PER_PATTERN * len(h)
     zero: dict[int, tuple[int, ...]] = {}
 
@@ -308,7 +307,7 @@ def _closed_dimension(h: HypothesisClass, ell: int, kernel, set_path) -> Dimensi
         return res
     found = seen = set_path(h, res.witness, ell)
     if found is not None and isinstance(res.witness_structure, int):
-        seen = _cube_mask(list(zip(*found.patterns)), tuple(range(res.value)), k)
+        seen = _cube_mask(found.columns, tuple(range(res.value)), k)
     if seen != res.witness_structure:
         raise RuntimeError(f"the set path and the cube-mask kernel disagree on the "
                            f"projection onto {res.witness}")
@@ -402,7 +401,7 @@ def exponential_dimension(h: HypothesisClass, ell: int) -> DimensionResult:
     projection count, so subsets witness the same maximum at desk scale.
     """
     _preconditions(h, ell)
-    cols = list(zip(*h.patterns))
+    cols = h.columns
 
     def count(coords):
         found = len(set(zip(*[cols[c] for c in coords])))

@@ -17,8 +17,8 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
-from itertools import compress, product
+from functools import cached_property, partial
+from itertools import accumulate, compress, product
 from typing import Optional, Sequence
 
 from .classes import CapExceeded, HypothesisClass, Pattern
@@ -78,13 +78,10 @@ class ConceptTask:
     def k(self) -> int:
         return self.concepts.k
 
+    @cached_property
     def cum_weights(self) -> list[float]:
-        total = 0.0
-        out = []
-        for p in self.probs:
-            total += float(p)
-            out.append(total)
-        return out
+        """The running float sums of ``probs``, for ``random.choices``."""
+        return list(accumulate(map(float, self.probs)))
 
 
 def make_task(concepts: HypothesisClass, target_index: int,
@@ -148,7 +145,7 @@ def list_provider(kind: str, task: ConceptTask,
     if kind == "sample-support":
         if sample is None:
             raise ValueError("sample-support provider needs a sample")
-        lists = _sample_support(_class_index(task.concepts), sample)
+        lists = _sample_support(task.concepts, sample)
         return ListPredictor(ell=max([1, *map(len, lists)]), lists=lists)
     raise ValueError(f"unknown provider kind {kind!r}")
 
@@ -160,66 +157,48 @@ def population_error(task: ConceptTask, predictor: ListPredictor) -> Fraction:
 
 
 def _draw_pairs(task: ConceptTask, m: int, rng: random.Random) -> list[LabeledPair]:
-    cum = task.cum_weights()
-    xs = rng.choices(range(task.n), cum_weights=cum, k=m)
-    return [(x, task.target[x]) for x in xs]
+    xs = rng.choices(range(task.n), cum_weights=task.cum_weights, k=m)
+    target = task.target
+    return [(x, target[x]) for x in xs]
 
 
 # ---------------------------------------------------------------------------
 # One-inclusion list prediction
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _ClassIndex:
-    """A class laid out once for many predictions, in one fixed pattern order:
-    bit i of ``masks[u][y]`` is set when pattern i has label y at instance u,
-    ``full`` sets the bit of every pattern, and ``columns[u]`` holds the
-    patterns' labels at u."""
-
-    k: int
-    full: int
-    masks: tuple[tuple[int, ...], ...]
-    columns: tuple[tuple[int, ...], ...]
-
-    def label_mask(self, u: int, y: int) -> int:
-        """The patterns with label y at u; none when y lies outside [0, k)."""
-        return self.masks[u][y] if 0 <= y < self.k else 0
-
-    def allowed(self, lists: Sequence[frozenset[int]]) -> tuple[int, ...]:
-        """Per instance u, the patterns whose label at u lies in ``lists[u]``."""
-        out = []
-        for u, labels in enumerate(lists):
-            mask = 0
-            for y in labels:
-                mask |= self.label_mask(u, y)
-            out.append(mask)
-        return tuple(out)
+def _label_mask(concepts: HypothesisClass, u: int, y: int) -> int:
+    """The patterns with label y at u; none when y lies outside [0, k)."""
+    masks = concepts.label_masks[u]
+    return masks[y] if 0 <= y < len(masks) else 0
 
 
-def _class_index(concepts: HypothesisClass) -> _ClassIndex:
-    pats = concepts.sorted_patterns()
-    columns = tuple(tuple(p[u] for p in pats) for u in range(concepts.n))
-    # each mask is parsed from a bit string, in time linear in the class size
-    masks = tuple(tuple(int("0" + "".join("1" if v == y else "0" for v in reversed(col)), 2)
-                        for y in range(concepts.k))
-                  for col in columns)
-    return _ClassIndex(concepts.k, (1 << len(pats)) - 1, masks, columns)
+def _allowed(concepts: HypothesisClass, lists: Sequence[frozenset[int]]) -> tuple[int, ...]:
+    """Per instance u, the patterns whose label at u lies in ``lists[u]``."""
+    out = []
+    for u, labels in enumerate(lists):
+        mask = 0
+        for y in labels:
+            mask |= _label_mask(concepts, u, y)
+        out.append(mask)
+    return tuple(out)
 
 
-def _sample_support(index: _ClassIndex,
+def _sample_support(concepts: HypothesisClass,
                     sample: Sequence[LabeledPair]) -> tuple[frozenset[int], ...]:
     """The sample-support lists: the labels seen at each sampled instance and,
     elsewhere, the labels of the sample-consistent patterns (the target's
     among them, so a realizable sample keeps every list at most k wide and
     consistent with the target)."""
-    n = len(index.columns)
+    n, masks = concepts.n, concepts.label_masks
     seen: dict[int, set[int]] = {x: set() for x in range(n)}
-    consistent = index.full
     for x, y in sample:
         seen[x].add(y)
-        consistent &= index.label_mask(x, y)
+    consistent = (1 << len(concepts)) - 1
+    for x, labels in seen.items():
+        for y in labels:
+            consistent &= _label_mask(concepts, x, y)
     return tuple(frozenset(seen[u]) if seen[u] else
-                 frozenset(y for y, mask in enumerate(index.masks[u]) if mask & consistent)
+                 frozenset(y for y, mask in enumerate(masks[u]) if mask & consistent)
                  for u in range(n))
 
 
@@ -234,7 +213,7 @@ def predict_one_inclusion(concepts: HypothesisClass, mu: ListPredictor,
     the values the chosen orientation assigns to the edge consistent with
     the sample labels.
 
-    The realizability checks run on bitmasks of the class's patterns, and
+    The realizability checks run on the class's ``label_masks``, and
     then one of two paths gives the answer.  Forced: when x was itself
     sampled, the answer is its sampled label, and no restricted pattern is
     built.  Oriented: otherwise, if the label-consistent patterns take at
@@ -258,14 +237,13 @@ def predict_one_inclusion(concepts: HypothesisClass, mu: ListPredictor,
     matches the sample labels, in that order.  Labels outside [0, k) in the
     lists or the sample are taken by no pattern.
     """
-    index = _class_index(concepts)
-    return _predict(index, index.allowed(mu.lists), sample, x, ell)
+    return _predict(concepts, _allowed(concepts, mu.lists), sample, x, ell)
 
 
-def _predict(index: _ClassIndex, allowed: Sequence[int],
+def _predict(concepts: HypothesisClass, allowed: Sequence[int],
              sample: Sequence[LabeledPair], x: int, ell: int) -> frozenset[int]:
-    """``predict_one_inclusion`` on an index, with ``allowed`` from
-    ``index.allowed`` of the provider lists."""
+    """``predict_one_inclusion`` with ``allowed`` from ``_allowed`` of the
+    provider lists."""
     required: dict[int, int] = {}
     conflict: Optional[int] = None
     for x_i, y_i in sample:
@@ -280,27 +258,27 @@ def _predict(index: _ClassIndex, allowed: Sequence[int],
         raise RealizabilityError(f"contradictory labels for instance {conflict}")
     labeled = listed
     for u, y in required.items():
-        labeled &= index.label_mask(u, y)
+        labeled &= _label_mask(concepts, u, y)
     if not labeled:
         raise RealizabilityError("no pattern is consistent with the sample labels")
     if x in required:
         return frozenset((required[x],))
     # the label-consistent edge takes these values; an edge of at most ell
     # vertices selects all of them in every orientation
-    free = frozenset(y for y, mask in enumerate(index.masks[x]) if mask & labeled)
+    free = frozenset(y for y, mask in enumerate(concepts.label_masks[x]) if mask & labeled)
     if len(free) <= ell:
         return free
-    k = index.k
+    k, columns = concepts.k, concepts.columns
     distinct = sorted([*required, x])
     width = len(distinct)
     xs = distinct.index(x)
     # a restricted pattern is its big-endian base-k code over ``distinct``,
     # so integer order is the tuples' lexicographic order
-    codes = index.columns[distinct[0]]
+    codes = columns[distinct[0]]
     for u in distinct[1:]:
-        codes = [code * k + v for code, v in zip(codes, index.columns[u])]
-    if listed != index.full:
-        codes = compress(codes, map(int, reversed(f"{listed:0{index.full.bit_length()}b}")))
+        codes = [code * k + v for code, v in zip(codes, columns[u])]
+    if listed != (1 << len(codes)) - 1:
+        codes = compress(codes, map(int, reversed(f"{listed:0{len(codes)}b}")))
     verts = sorted(set(codes))
     star_key = 0
     for u in distinct:
@@ -375,22 +353,21 @@ class LooReport:
     per_trial: Optional[tuple[bool, ...]] = None
 
 
-def _loo_trial(task: ConceptTask, cfg: ExperimentConfig, cum: Sequence[float],
-               index: _ClassIndex, allowed: Optional[tuple[int, ...]],
-               t: int) -> tuple[bool, bool]:
+def _loo_trial(task: ConceptTask, cfg: ExperimentConfig,
+               allowed: Optional[tuple[int, ...]], t: int) -> tuple[bool, bool]:
     """(whether trial t misses, whether its test instance was sampled, which
-    forces the prediction).  The trial draws from its own counter-derived
-    stream, so how trials are spread across workers cannot change it.
-    ``cum`` is ``task.cum_weights()`` and ``index`` the class's index;
-    ``allowed`` holds the index masks of the fixed provider lists, or is None
-    for the sample-support lists of the trial's own training sample."""
-    rng = random.Random(_trial_seed(cfg.seed, t))
-    xs = rng.choices(range(task.n), cum_weights=cum, k=cfg.m + 1)
-    x = xs.pop()
-    train = [(u, task.target[u]) for u in xs]
+    forces the prediction).  The m+1 points, the last one the test, come from
+    ``_draw_pairs`` on the trial's own counter-derived stream, so how trials
+    are spread across workers cannot change it.  ``allowed`` is ``_allowed``
+    of the fixed provider lists, or None for the sample-support lists of the
+    trial's own training sample."""
+    train = _draw_pairs(task, cfg.m + 1, random.Random(_trial_seed(cfg.seed, t)))
+    x, y = train.pop()
+    concepts = task.concepts
     if allowed is None:
-        allowed = index.allowed(_sample_support(index, train))
-    return task.target[x] not in _predict(index, allowed, train, x, cfg.ell), x in xs
+        allowed = _allowed(concepts, _sample_support(concepts, train))
+    # every label is the target's, so the pair was drawn exactly when x was
+    return y not in _predict(concepts, allowed, train, x, cfg.ell), (x, y) in train
 
 
 def loo_experiment(task: ConceptTask, cfg: ExperimentConfig,
@@ -399,15 +376,17 @@ def loo_experiment(task: ConceptTask, cfg: ExperimentConfig,
     """Repeatedly draw m+1 points, train on the first m, and test whether the
     held-out label lands in the predicted list.  ``jobs`` fans trials out
     across processes; the aggregate is identical for any fan-out.  Both
-    providers' lists are at most k wide, so ell' is k.  The class index, the
-    fixed provider's masks and the cumulative weights are built once, before
-    the trials."""
-    index = _class_index(task.concepts)
+    providers' lists are at most k wide, so ell' is k.  The class's layout,
+    the fixed provider's masks and the cumulative weights are built once,
+    before the trials; worker processes receive them pickled in the task."""
+    concepts = task.concepts
+    # built here once, not in each trial or worker
+    concepts.label_masks, task.cum_weights
     allowed = (None if provider_kind == "sample-support"
-               else index.allowed(list_provider(provider_kind, task).lists))
-    d_used = ds_dimension(task.concepts, cfg.ell).value
+               else _allowed(concepts, list_provider(provider_kind, task).lists))
+    d_used = ds_dimension(concepts, cfg.ell).value
     bound = 40.0 * cfg.ell * d_used * _llog(task.k) / cfg.m
-    trial = partial(_loo_trial, task, cfg, task.cum_weights(), index, allowed)
+    trial = partial(_loo_trial, task, cfg, allowed)
     if jobs > 1:
         import multiprocessing
         with multiprocessing.Pool(jobs) as pool:
@@ -470,12 +449,12 @@ def pac_learn(task: ConceptTask, cfg: ExperimentConfig,
         raise ValueError(f"sample too small to partition: have {len(filtered)} "
                          f"filtered points, need {needed} ({p} chunks of {chunk} "
                          f"plus {val} validation)")
-    index = _class_index(task.concepts)
-    allowed = index.allowed(mu.lists)
+    allowed = _allowed(task.concepts, mu.lists)
     candidates: list[ListPredictor] = []
     for i in range(p):
         part = filtered[i * chunk:(i + 1) * chunk]
-        lists = tuple(_predict(index, allowed, part, x, cfg.ell) for x in range(task.n))
+        lists = tuple(_predict(task.concepts, allowed, part, x, cfg.ell)
+                      for x in range(task.n))
         candidates.append(ListPredictor(ell=cfg.ell, lists=lists))
     val_set = filtered[p * chunk:]
     val_errors = tuple(

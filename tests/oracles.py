@@ -4,9 +4,9 @@ These deliberately avoid the package's accelerated code paths (peeling,
 flows, modular and fraction-free elimination, common-denominator
 evaluation) so that agreement is meaningful.  Three are exceptions.  The
 slow one-inclusion predictor keeps the path that rebuilds the restricted
-patterns on every call, which the bitmask index of ``listlearn`` replaced,
-and shares the flow orientation with it, so it checks everything in front of
-the flow.  The bisecting orientation and ``max_flow_value`` share the flow
+patterns on every call, which the class's label masks
+(``HypothesisClass.label_masks``) replaced in ``listlearn``, and shares the
+flow orientation with it, so it checks everything in front of the flow.  The bisecting orientation and ``max_flow_value`` share the flow
 network, so they check the budget search and the flow lemmas.  The lex
 standard monomials use the package's exact rank.
 

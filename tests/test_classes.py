@@ -1,3 +1,4 @@
+import pickle
 import tracemalloc
 
 import pytest
@@ -216,3 +217,37 @@ def test_projection_composition_and_size(spec, data):
     composed = project(project(h, s), t_prime)
     direct = project(h, tuple(s[i] for i in t_prime))
     assert composed == direct
+
+
+layout_classes = st.integers(1, 5).flatmap(
+    lambda n: st.integers(2, 4).flatmap(
+        lambda k: st.builds(
+            lambda cells: (n, k, cells),
+            st.lists(st.integers(0, k ** n - 1), max_size=20, unique=True))))
+
+
+@settings(max_examples=80, deadline=None)
+@given(layout_classes)
+def test_layout_matches_the_patterns(spec):
+    h = decode(*spec)
+    cols, masks = h.columns, h.label_masks
+    assert len(cols) == len(masks) == h.n
+    for u in range(h.n):
+        assert len(cols[u]) == len(h) and len(masks[u]) == h.k
+        for y in range(h.k):
+            assert masks[u][y] >> len(h) == 0
+            assert all(bool(masks[u][y] >> i & 1) == (v == y) for i, v in enumerate(cols[u]))
+    assert set(zip(*cols)) == h.patterns
+    # the layout takes no part in equality or hashing
+    fresh = decode(*spec)
+    assert "columns" not in vars(fresh) and "label_masks" not in vars(fresh)
+    assert fresh == h and hash(fresh) == hash(h) and {fresh: 1}[h] == 1
+    copy = pickle.loads(pickle.dumps(h))
+    assert vars(copy)["columns"] == cols and vars(copy)["label_masks"] == masks
+    assert copy == fresh and hash(copy) == hash(fresh)
+
+
+def test_empty_class_has_n_empty_columns():
+    h = make(3, 2, [])
+    assert h.columns == ((), (), ())
+    assert h.label_masks == ((0, 0),) * 3

@@ -160,6 +160,14 @@ class TestCert:
                                  "failure: certificate class differs from --input class"]
 
 
+    @pytest.mark.parametrize("action", ["span", "replay"])
+    def test_missing_input_is_usage_error(self, capsys, action):
+        code = main(["cert", action, "--ell", "1"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: cert {action} needs --input\n"
+
+
 class TestCertBelowDimension:
     """A --d below the DS dimension is an input error (exit 2)."""
 

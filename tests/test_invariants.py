@@ -1,9 +1,11 @@
 """Static checks on the package source.  Invariants are explicit raises, so
 they survive ``python -O``, which strips ``assert`` statements; no module
-imports a name it never uses; and every function the benchmark's per-layer
+imports a name it never uses or a module outside the standard library; and
+every function the benchmark's per-layer
 metrics name still exists."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pseudocube
@@ -38,6 +40,24 @@ def test_package_modules_use_every_name_they_import():
         unused += [f"{path.name}:{line} {name}"
                    for name, line in imported.items() if name not in used]
     assert not unused, f"imported but never used: {unused}"
+
+
+def test_package_imports_only_the_standard_library():
+    # the runtime is stdlib-only: an import is relative, of the package
+    # itself, or of a standard-library module
+    known = set(sys.stdlib_module_names) | {"pseudocube"}
+    foreign = []
+    for path, tree in _package_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            foreign += [f"{path.name}:{node.lineno} {name}"
+                        for name in names if name.split(".")[0] not in known]
+    assert not foreign, f"imports outside the standard library: {foreign}"
 
 
 def test_benchmark_per_layer_metrics_name_existing_functions(monkeypatch):

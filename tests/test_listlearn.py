@@ -13,7 +13,7 @@ from pseudocube import (ExperimentConfig, HypothesisClass, ListClass,
                         population_error, predict_one_inclusion, project,
                         random_class, uc_experiment, verify_projection_bound)
 from pseudocube import listlearn
-from pseudocube.listlearn import (pac_sample_plan, _class_index, _draw_pairs, _predict,
+from pseudocube.listlearn import (pac_sample_plan, _allowed, _draw_pairs, _predict,
                                   _trial_seed)
 
 from oracles import (restriction_class, sample_realizable, slow_predict_one_inclusion,
@@ -277,15 +277,15 @@ def test_leave_one_out_misses_equal_the_outdegree():
     cells = ((extremal_class(8, 3, 1, 2), 1), (extremal_class(7, 3, 2, 2), 2),
              (random_class(7, 3, 0.05, 11), 1), (random_class(6, 4, 0.03, 5), 2),
              (extremal_class(10, 3, 1, 1), 1))
-    indexed = [(h, ell, _class_index(h), h.sorted_patterns()) for h, ell in cells]
+    with_patterns = [(h, ell, h.sorted_patterns()) for h, ell in cells]
     rng = random.Random(2024)
     oriented = 0
     for _ in range(150):
-        h, ell, index, pats = rng.choice(indexed)
-        allowed = index.allowed([frozenset(range(h.k))] * h.n)
+        h, ell, pats = rng.choice(with_patterns)
+        allowed = _allowed(h, [frozenset(range(h.k))] * h.n)
         coords = sorted(rng.sample(range(h.n), rng.randint(2, min(7, h.n))))
         target = rng.choice(pats)
-        misses = sum(target[x] not in _predict(index, allowed,
+        misses = sum(target[x] not in _predict(h, allowed,
                                                [(u, target[u]) for u in coords if u != x],
                                                x, ell)
                      for x in coords)
@@ -296,6 +296,26 @@ def test_leave_one_out_misses_equal_the_outdegree():
         oriented += out > 0
     # the draws reach edges the orientation cuts, not only forced answers
     assert oriented > 0
+
+
+def test_reports_do_not_depend_on_the_pattern_order():
+    # the class layout follows the patterns' iteration order, which two equal
+    # classes need not share; no leave-one-out or PAC report may depend on it
+    pats = sorted(extremal_class(8, 3, 1, 2).patterns)
+    a, b = (HypothesisClass(8, 3, frozenset(order)) for order in (pats, pats[::-1]))
+    assert a == b and list(a.patterns) != list(b.patterns)
+    assert a.label_masks != b.label_masks
+    loo_cfg = ExperimentConfig(m=6, trials=80, seed=3, ell=1)
+    pac_cfg = ExperimentConfig(epsilon=0.5, delta=0.4, ell=1)
+    p, chunk, val = pac_sample_plan(make_task(a, 7), pac_cfg, 3)
+    pac_cfg = ExperimentConfig(epsilon=0.5, delta=0.4, m=p * chunk + val + 10,
+                               trials=1, seed=9, ell=1, test_size=200)
+    for provider in ("full-alphabet", "sample-support"):
+        loo_a, loo_b = (loo_experiment(make_task(h, 7), loo_cfg, provider, keep_trials=True)
+                        for h in (a, b))
+        assert loo_a == loo_b and loo_a.forced_trials < loo_cfg.trials
+        pac_a, pac_b = (pac_learn(make_task(h, 7), pac_cfg, provider) for h in (a, b))
+        assert pac_a == pac_b
 
 
 class TestLooExperiment:
