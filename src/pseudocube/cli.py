@@ -280,137 +280,135 @@ def _cmd_learn(args, out) -> int:
 
 
 # ---------------------------------------------------------------------------
-# sweep
+# sweep and verify: one corpus, a check per class
 # ---------------------------------------------------------------------------
 
-def _sweep_row(item):
-    idx, h, ell = item
+def _check_ell(ell: int, k: int) -> None:
+    if not 1 <= ell < k:
+        raise ValueError(f"need 1 <= ell < k, got ell={ell}, k={k}")
+
+
+def _corpus(args, grid: bool):
+    """The (id, class) pairs of a run: every nonempty class over [k]^n
+    numbered from 1, or the nonempty draws of --count seeds keyed by seed.
+    The parameters are checked on the call, before anything is drawn."""
+    if args.n < 1 or args.k < 2:
+        raise ValueError(f"need n >= 1 and k >= 2, got n={args.n} k={args.k}")
+    if grid:
+        return enumerate(iter_all_classes(args.n, args.k), start=1)
+    _check_random_class(args.n, args.k, args.density)
+    return ((seed, h) for seed in range(args.seed, args.seed + args.count)
+            for h in [random_class(args.n, args.k, args.density, seed)] if not h.is_empty)
+
+
+def _sweep_row(idx, h, ell):
     try:
         rep = verify_sauer(h, ell)
-        violated = False
     except BoundViolation as exc:
         rep = exc.report
-        violated = True
     return (f"{idx},{h.n},{h.k},{ell},{rep.d_used},{rep.class_size},"
-            f"{rep.ds_bound},{rep.nat_bound},{rep.slack},{rep.holds}", violated)
+            f"{rep.ds_bound},{rep.nat_bound},{rep.slack},{rep.holds}", rep.holds)
 
 
 def _cmd_sweep(args, out) -> int:
-    if args.action == "exhaustive":
-        classes = list(enumerate(iter_all_classes(args.n, args.k), start=1))
-    else:
-        classes = [(seed, random_class(args.n, args.k, args.density, seed))
-                   for seed in range(args.seed, args.seed + args.count)]
-        classes = [(i, h) for i, h in classes if not h.is_empty]
-    items = [(idx, h, args.ell) for idx, h in classes]
+    corpus = _corpus(args, args.action == "exhaustive")
+    _check_ell(args.ell, args.k)
+    items = [(idx, h, args.ell) for idx, h in corpus]
     if args.jobs > 1:
         import multiprocessing
         # output order stays canonical: map preserves item order
         with multiprocessing.Pool(args.jobs) as pool:
-            results = pool.map(_sweep_row, items, chunksize=64)
+            results = pool.starmap(_sweep_row, items, chunksize=64)
     else:
-        results = [_sweep_row(item) for item in items]
+        results = [_sweep_row(*item) for item in items]
     _emit(out, _header(args, "sweep"))
     _emit(out, "id,n,k,ell,d,size,ds_bound,nat_bound,slack,holds")
-    violations = 0
-    for row, violated in results:
-        violations += violated
+    for row, _ in results:
         _emit(out, row)
-    return EXIT_VERIFY_FAILED if violations else EXIT_OK
+    return EXIT_OK if all(holds for _, holds in results) else EXIT_VERIFY_FAILED
 
 
-# ---------------------------------------------------------------------------
-# verify
-# ---------------------------------------------------------------------------
+def _sauer_checks(key, h, ell):
+    # a failed inequality raises BoundViolation, which exits 1
+    for j in range(1, h.k):
+        verify_sauer(h, j)
+    return h.k - 1, 0, 0
+
+
+def _shiftlaws_checks(seed, h, ell):
+    # one check per class, at an ell and a direction the seed picks
+    j = 1 + seed % (h.k - 1)
+    shifted, fixed = shift(h, seed % h.n), shift_fixed_point(h)
+    ok = (degree_stats(build_oig(shifted), j).savd >= degree_stats(build_oig(h), j).savd
+          and exponential_dimension(shifted, j).value <= exponential_dimension(h, j).value
+          and is_downward_closed(fixed) and len(fixed) == len(h))
+    return 1, int(not ok), 0
+
+
+def _corollary_checks(key, h, ell):
+    # at every ell: exponential dimension <= 40 ell d max(log k, 1), d the DS dimension
+    failures = sum(exponential_dimension(h, j).value
+                   > 40 * j * ds_dimension(h, j).value * max(math.log(h.k), 1.0)
+                   for j in range(1, h.k))
+    return h.k - 1, failures, 0
+
+
+def _appendix_checks(key, h, ell):
+    # at n=2, degree peeling empties the bipartite graph iff the core is empty
+    ells = range(1, h.k) if h.n == 2 else ()
+    peeled = [j for j in ells if max_pseudocube_core(h, j + 1).core.is_empty]
+    failures = sum(len(h) > j * (2 * h.k - j) for j in peeled)
+    size = len(h) if ell in peeled else 0
+    # grid classes are nonempty and the coordinate is the default, so the
+    # only ValueError is the precondition: DS dimension above 1
+    try:
+        rep = appendix_check(h)
+    except ValueError:
+        return len(ells), failures, size
+    return len(ells) + 1, failures + (not (rep.acyclic and rep.holds)), size
+
+
+# A verify target checks one class: (id, class, --ell) -> (checks, failures,
+# the size it offers appendix's largest_peelable_size_at_ell, else 0)
+_CHECKS = {"sauer": _sauer_checks, "shiftlaws": _shiftlaws_checks,
+           "corollary": _corollary_checks, "appendix": _appendix_checks}
+
+
+def _verify_input(args, out) -> int:
+    h = _read_class(args.input)
+    _check_ell(args.ell, h.k)
+    # an empty class or a wrong claimed d is rejected here, before the header
+    verify_sauer(h, args.ell, claimed_d=args.d)
+    # the header reports the class that was read, not the --n and --k defaults
+    args.n, args.k = h.n, h.k
+    _emit(out, _header(args, "verify"))
+    _emit(out, "sauer: ok")
+    return EXIT_OK
+
 
 def _cmd_verify(args, out) -> int:
     # inputs are checked before the header, so a rejected run prints nothing
-    single = args.target == "sauer" and args.input
-    if single:
-        h = _read_class(args.input)
-        if h.is_empty:
-            raise ValueError("cannot verify bounds for the empty class")
-    elif args.n < 1 or args.k < 2:
-        raise ValueError(f"need n >= 1 and k >= 2, got n={args.n} k={args.k}")
-    k = h.k if single else args.k
-    if (single or args.target == "appendix") and not 1 <= args.ell < k:
-        raise ValueError(f"need 1 <= ell < k, got ell={args.ell}, k={k}")
-    if args.target in ("shiftlaws", "corollary"):
-        _check_random_class(args.n, args.k, args.density)
-    elif single:
-        # a wrong claimed d is known only once the dimension is computed
-        verify_sauer(h, args.ell, claimed_d=args.d)
-    else:
-        grid = iter_all_classes(args.n, args.k)
+    if args.input is not None:
+        if args.target != "sauer":
+            raise ValueError(f"verify {args.target}: --input is read only by verify sauer")
+        return _verify_input(args, out)
+    if args.d is not None:
+        raise ValueError(f"verify {args.target}: --d is read only by verify sauer --input")
+    # sauer and appendix run on the grid, shiftlaws and corollary on random draws
+    corpus = _corpus(args, args.target in ("sauer", "appendix"))
+    if args.target == "appendix":
+        _check_ell(args.ell, args.k)
     _emit(out, _header(args, "verify"))
-    failures = 0
-    if args.target == "sauer":
-        if single:
-            _emit(out, "sauer: ok")
-        else:
-            count = 0
-            for h in grid:
-                for ell in range(1, args.k):
-                    verify_sauer(h, ell)
-                    count += 1
-            _emit(out, f"sauer: ok checks={count}")
-    elif args.target == "shiftlaws":
-        checked = 0
-        for seed in range(args.seed, args.seed + args.count):
-            h = random_class(args.n, args.k, args.density, seed)
-            if h.is_empty:
-                continue
-            ell = 1 + seed % (args.k - 1)
-            i = seed % args.n
-            savd_before = degree_stats(build_oig(h), ell).savd
-            shifted = shift(h, i)
-            savd_after = degree_stats(build_oig(shifted), ell).savd
-            de_before = exponential_dimension(h, ell).value
-            de_after = exponential_dimension(shifted, ell).value
-            fixed = shift_fixed_point(h)
-            ok = (savd_after >= savd_before and de_after <= de_before
-                  and is_downward_closed(fixed) and len(fixed) == len(h))
-            failures += not ok
-            checked += 1
-        _emit(out, f"shiftlaws: checked={checked} failures={failures}")
-    elif args.target == "corollary":
-        checked = 0
-        for seed in range(args.seed, args.seed + args.count):
-            h = random_class(args.n, args.k, args.density, seed)
-            if h.is_empty:
-                continue
-            for ell in range(1, args.k):
-                de = exponential_dimension(h, ell).value
-                dds = ds_dimension(h, ell).value
-                limit = 40 * ell * dds * max(math.log(args.k), 1.0)
-                failures += not de <= limit
-                checked += 1
-        _emit(out, f"corollary: checked={checked} failures={failures}")
-    else:
-        checked = 0
-        max_success_size = 0
-        for h in grid:
-            if args.n == 2:
-                # degree peeling empties the bipartite graph iff the core is empty
-                for ell in range(1, args.k):
-                    if max_pseudocube_core(h, ell + 1).core.is_empty:
-                        failures += len(h) > ell * (2 * args.k - ell)
-                        if ell == args.ell:
-                            max_success_size = max(max_success_size, len(h))
-                    checked += 1
-            # grid classes are nonempty and the coordinate is the default, so
-            # the only ValueError is the precondition: DS dimension above 1
-            try:
-                rep = appendix_check(h)
-            except ValueError:
-                continue
-            failures += not (rep.acyclic and rep.holds)
-            checked += 1
-        _emit(out, f"appendix: checked={checked} failures={failures}")
-        if args.n == 2:
-            # descriptive scale comparison only, nothing asserted against it
-            _emit(out, f"largest_peelable_size_at_ell={max_success_size} "
-                       f"turan_scale={turan_reference(args.k, args.ell):.6g}")
+    checked = failures = largest = 0
+    for key, h in corpus:
+        c, f, size = _CHECKS[args.target](key, h, args.ell)
+        checked, failures, largest = checked + c, failures + f, max(largest, size)
+    _emit(out, f"sauer: ok checks={checked}" if args.target == "sauer" else
+               f"{args.target}: checked={checked} failures={failures}")
+    if args.target == "appendix" and args.n == 2:
+        # descriptive scale comparison only, nothing asserted against it
+        _emit(out, f"largest_peelable_size_at_ell={largest} "
+                   f"turan_scale={turan_reference(args.k, args.ell):.6g}")
     return EXIT_VERIFY_FAILED if failures else EXIT_OK
 
 

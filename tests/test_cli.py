@@ -310,9 +310,11 @@ class TestSweepVerify:
         assert all(row.endswith("True") for row in rows)
 
     def test_sweep_jobs_output_identical(self, capsys):
-        a = run(capsys, ["sweep", "exhaustive", "--n", "2", "--k", "2"])
-        b = run(capsys, ["sweep", "exhaustive", "--n", "2", "--k", "2",
+        # 511 rows are 8 chunks of 64, so the pool must keep the order across chunks
+        a = run(capsys, ["sweep", "exhaustive", "--n", "2", "--k", "3"])
+        b = run(capsys, ["sweep", "exhaustive", "--n", "2", "--k", "3",
                          "--jobs", "2"])
+        assert len(a[1].splitlines()) == 2 + 511
         # headers differ only in the jobs echo
         assert a[1].splitlines()[1:] == b[1].splitlines()[1:]
 
@@ -330,6 +332,15 @@ class TestSweepVerify:
         assert code == 0 and "sauer: ok" in out
         assert main(["verify", "sauer", "--input", three,
                      "--ell", "1", "--d", "2"]) == 2  # wrong claim
+
+    def test_verify_sauer_header_reports_the_input_class(self, capsys, tmp_path):
+        from pseudocube import extremal_class, serialize_class
+        path = tmp_path / "E.cls"
+        path.write_text(serialize_class(extremal_class(3, 3, 1, 1)))
+        code, out = run(capsys, ["verify", "sauer", "--input", str(path)])
+        header = out.splitlines()[0].split()
+        assert code == 0 and out.splitlines()[1:] == ["sauer: ok"]
+        assert "n=3" in header and "k=3" in header and "n=2" not in header
 
     def test_empty_class_is_parseable_but_rejected_by_dim(self, capsys, tmp_path):
         path = tmp_path / "empty.cls"
@@ -388,6 +399,33 @@ def test_verify_appendix_rejects_ell_outside_one_to_k(capsys, ell):
     (["verify", "sauer", "--input", "{empty}"], "cannot verify bounds for the empty class"),
     (["verify", "sauer", "--input", "{three_k3}", "--d", "2"],
      "claimed dimension 2 differs from computed 1"),
+    # --input and --d are read only by verify sauer --input, not ignored elsewhere
+    (["verify", "shiftlaws", "--input", "{three_k3}"],
+     "verify shiftlaws: --input is read only by verify sauer"),
+    (["verify", "corollary", "--input", "{three_k3}", "--count", "3"],
+     "verify corollary: --input is read only by verify sauer"),
+    (["verify", "appendix", "--input", "{three_k3}"],
+     "verify appendix: --input is read only by verify sauer"),
+    (["verify", "sauer", "--n", "2", "--k", "2", "--d", "1"],
+     "verify sauer: --d is read only by verify sauer --input"),
+    # sweep checks its parameters before drawing, whatever --count is, as verify does
+    (["sweep", "random", "--n", "0", "--k", "3", "--count", "0"],
+     "need n >= 1 and k >= 2, got n=0 k=3"),
+    (["sweep", "random", "--n", "2", "--k", "1", "--count", "0"],
+     "need n >= 1 and k >= 2, got n=2 k=1"),
+    (["sweep", "random", "--n", "2", "--k", "3", "--density", "1.5", "--count", "0"],
+     "density must lie in [0,1], got 1.5"),
+    (["sweep", "random", "--n", "2", "--k", "3", "--ell", "7", "--count", "0"],
+     "need 1 <= ell < k, got ell=7, k=3"),
+    (["sweep", "random", "--n", "0", "--k", "3", "--count", "2"],
+     "need n >= 1 and k >= 2, got n=0 k=3"),
+    (["sweep", "random", "--n", "2", "--k", "1", "--count", "2"],
+     "need n >= 1 and k >= 2, got n=2 k=1"),
+    (["sweep", "random", "--n", "2", "--k", "3", "--ell", "7", "--count", "2"],
+     "need 1 <= ell < k, got ell=7, k=3"),
+    (["sweep", "random", "--n", "2", "--k", "3", "--ell", "0", "--count", "2"],
+     "need 1 <= ell < k, got ell=0, k=3"),
+    (["sweep", "exhaustive", "--n", "0", "--k", "3"], "need n >= 1 and k >= 2, got n=0 k=3"),
 ])
 def test_verify_rejects_bad_parameters_before_the_header(capsys, three_k3, tmp_path, argv,
                                                         message):
