@@ -92,10 +92,20 @@ class HypothesisClass:
     def label_masks(self) -> tuple[tuple[int, ...], ...]:
         """Bit i of ``label_masks[u][y]`` is set when pattern i, in the order
         of ``columns``, has label y at u."""
-        # each mask is parsed from a bit string, in time linear in the class size
-        return tuple(tuple(int("0" + "".join("1" if v == y else "0" for v in reversed(col)), 2)
-                           for y in range(self.k))
-                     for col in self.columns)
+        # each mask is parsed from a bit string, pattern 0 last, in time linear
+        # in the class size; base 2 is exempt from the limit on int digits
+        if self.k > 256:
+            return tuple(tuple(int("0" + "".join("1" if v == y else "0" for v in reversed(col)), 2)
+                               for y in range(self.k))
+                         for col in self.columns)
+        # labels fit in a byte: one translate per label maps y to "1", others to "0"
+        rows = [bytes(col)[::-1] for col in self.columns]
+        masks = []
+        for y in range(self.k):
+            table = bytearray(b"0" * 256)
+            table[y] = ord("1")
+            masks.append([int(row.translate(table) or b"0", 2) for row in rows])
+        return tuple(zip(*masks))
 
 
 def validate_coords(coords: Iterable[int], n: int) -> Coords:

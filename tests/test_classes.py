@@ -1,4 +1,5 @@
 import pickle
+import random
 import tracemalloc
 
 import pytest
@@ -251,3 +252,21 @@ def test_empty_class_has_n_empty_columns():
     h = make(3, 2, [])
     assert h.columns == ((), (), ())
     assert h.label_masks == ((0, 0),) * 3
+
+
+@pytest.mark.parametrize("k", [2, 3, 5, 256, 257])
+def test_label_masks_match_the_definition_on_both_sides_of_the_byte_alphabet(k):
+    """Labels below 256 are translated a byte at a time; k = 257 keeps the
+    bit-string form.  Both must give the definition, bit for bit."""
+    rng = random.Random(k)
+    labels = [0, k - 1] + [rng.randrange(k) for _ in range(60)]
+    h = make(3, k, {tuple(rng.choice(labels) for _ in range(3)) for _ in range(40)})
+    masks = h.label_masks
+    assert len(masks) == 3 and all(len(row) == k for row in masks)
+    for u, col in enumerate(h.columns):
+        for y in range(k):
+            assert masks[u][y] == sum(1 << i for i, v in enumerate(col) if v == y), (u, y)
+    copy = pickle.loads(pickle.dumps(h))
+    assert vars(copy)["label_masks"] == masks
+    assert type(copy).label_masks.func(copy) == masks
+    assert make(2, k, []).label_masks == ((0,) * k,) * 2

@@ -234,6 +234,119 @@ class TestCubeKernel:
             ds_dimension(PAPER_CYCLE, 1)
 
 
+class TestLabelWalk:
+    """The label-mask walk that builds the cube mask of every set with
+    k^d <= |H|, against ``_cube_mask``, which builds it from the columns."""
+
+    @staticmethod
+    def corpus(seed0):
+        rng = random.Random(seed0)
+        out = []
+        for seed in range(seed0, seed0 + 60):
+            n, k = rng.randint(1, 6), rng.randint(2, 4)
+            h = random_class(n, k, rng.choice((0.05, 0.15, 0.3, 0.6)), seed)
+            if not h.is_empty:
+                out += [h, TestTieBreak.permuted(h, rng)]
+        return out
+
+    @staticmethod
+    def record_kernel_cells(monkeypatch):
+        """(coords, cells) for every set the searches hand to a kernel."""
+        seen, current = [], []
+        search, core, factors = dims._search, dims._cube_core, dims._cube_mask_factors
+
+        def recording(coords, size, base, shattered, *args, **kwargs):
+            def logged(s):
+                current[:] = [s]
+                return shattered(s)
+            return search(coords, size, base, logged, *args, **kwargs)
+
+        def core_cells(cells, k, zero, m):
+            seen.append((current[0], cells))
+            return core(cells, k, zero, m)
+
+        def factor_cells(cells, k, low, ell1, j=0):
+            if j == 0:
+                seen.append((current[0], cells))
+            return factors(cells, k, low, ell1, j)
+
+        monkeypatch.setattr(dims, "_search", recording)
+        monkeypatch.setattr(dims, "_cube_core", core_cells)
+        monkeypatch.setattr(dims, "_cube_mask_factors", factor_cells)
+        return seen
+
+    def test_the_kernels_receive_the_cube_mask_of_every_tested_set(self, monkeypatch):
+        seen = self.record_kernel_cells(monkeypatch)
+        walked = 0
+        for h in self.corpus(9700):
+            for ell in range(1, h.k):
+                for dimension in (ds_dimension, natarajan_dimension):
+                    seen.clear()
+                    dimension(h, ell)
+                    for coords, cells in seen:
+                        assert cells == dims._cube_mask(h.columns, coords, h.k), (h, ell, coords)
+                        walked += h.k ** len(coords) <= len(h)
+        assert walked > 1000
+
+    def test_any_order_of_sets_gives_the_cube_mask(self):
+        """Sets of every size in a shuffled order, so the shared prefix
+        changes at every depth and the walk also runs longer and shorter
+        than the set before."""
+        rng = random.Random(9800)
+        for h in self.corpus(9800):
+            sets = [s for d in range(1, h.n + 1) for s in itertools.combinations(range(h.n), d)]
+            rng.shuffle(sets)
+            walk = dims._label_walk(h.label_masks, h.k, len(h))
+            for coords in sets + sets[::-1]:
+                assert walk(coords) == dims._cube_mask(h.columns, coords, h.k), (h, coords)
+
+    def test_walked_and_column_built_sizes_match_the_oracles(self):
+        """Classes with k^d <= |H| < k^(d+1) at their dimension d, so the
+        witness size is walked and the size above it goes to ``_cube_mask``."""
+        rng = random.Random(9900)
+        corpus = [TestTieBreak.permuted(extremal_class(n, k, ell, d), rng)
+                  for n, k in ((5, 3), (6, 3), (4, 4), (5, 4)) for ell in range(1, k)
+                  for d in (1, 2)]
+        corpus += self.corpus(9900)
+        cases, brute = {ds_dimension: 0, natarajan_dimension: 0}, 0
+        for h in corpus:
+            for ell in range(1, h.k):
+                for dimension, predicate in ((ds_dimension, ds_shattered),
+                                             (natarajan_dimension, natarajan_shattered)):
+                    res = dimension(h, ell)
+                    if not h.k ** res.value <= len(h) < h.k ** (res.value + 1):
+                        continue
+                    assert h.k ** (res.value + 1) <= dims._KERNEL_CELLS_PER_PATTERN * len(h)
+                    expected = first_shattered(h.n, lambda s: predicate(h, s, ell))
+                    assert (res.value, res.witness, res.witness_structure) == expected, (h, ell)
+                    if dimension is ds_dimension and len(h) <= 10:
+                        assert res.value == brute_ds_dimension(h, ell), (h, ell)
+                        brute += 1
+                    cases[dimension] += res.value > 0
+        assert min(cases.values()) > 30 and brute > 30, (cases, brute)
+
+    @staticmethod
+    def with_constant_coordinates(h, spots):
+        """``h`` with a constant coordinate inserted at each of ``spots``."""
+        def pad(p):
+            it = iter(p)
+            return tuple(0 if i in spots else next(it) for i in range(h.n + len(spots)))
+        return make(h.n + len(spots), h.k, [pad(p) for p in h.patterns])
+
+    def test_three_hundred_coordinates(self):
+        """Every pair of 300 coordinates is tested and refuted: the search
+        this walk was built for.  On a permuted copy padded with constant
+        coordinates, the witness is the first live coordinate."""
+        h = extremal_class(300, 3, 1, 1)
+        padded = self.with_constant_coordinates(
+            TestTieBreak.permuted(extremal_class(297, 3, 1, 1), random.Random(300)), {0, 1, 5})
+        for g, first in ((h, 0), (padded, 2)):
+            ds, nat = ds_dimension(g, 1), natarajan_dimension(g, 1)
+            assert (ds.value, ds.witness, ds.witness_structure.patterns) == (
+                1, (first,), {(0,), (1,), (2,)})
+            assert (nat.value, nat.witness) == (1, (first,))
+
+
 class TestNatarajanDimension:
     def test_vc_case_three_corners(self):
         assert natarajan_dimension(make(2, 2, [(0, 0), (0, 1), (1, 0)]), 1).value == 1
