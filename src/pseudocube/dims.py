@@ -33,25 +33,15 @@ with bit-sliced line counts until no direction changes: the fixed point is
 the maximal (ell+1)-pseudo-cube as a set of cells.  For Natarajan it slices
 the int by the values of one digit at a time and ANDs ell+1 slices, which
 intersects the suffix sets of ell+1 values, looking for the factor sets of
-an (ell+1)-cube.  The driver picks one of three paths per set from k, d and
-|H| alone:
-
-* k^d <= |H|: the cube mask comes from ``_label_walk``, which ANDs the
-  class's ``label_masks`` one coordinate at a time and keeps the nodes of
-  the previous set's prefixes, shared by sets in ``combinations`` order.
-  On ``extremal_class(300, 3, 1, 1)``, whose search tests all 44,850 pairs,
-  this took ``ds_dimension`` from 3.7-4.8 s to 0.43 s (2-core x86-64 box,
-  Python 3.11).
-* |H| < k^d <= 1024 |H|: ``_cube_mask`` builds it in one pass over the
-  columns, |H| d steps.  The walk ANDs up to k^d node masks of |H| bits each
-  there: with every set walked, ``ds_dimension`` of ``random_class(8, 4,
-  0.2, 1)`` (13,148 patterns) went from 90-110 ms to 170-220 ms on the same
-  box.
-* k^d > 1024 |H|: the kernel's work follows k^d where the set path's follows
-  |H| d, so the set goes to the set path, ``ds_shattered`` or
-  ``natarajan_shattered``.
-
-Either way of building the mask gives the same int, so the path changes no
+an (ell+1)-cube.  Its work follows k^d where the set path's follows |H| d, so
+the driver sends a set with k^d > 1024 |H| to the set path, ``ds_shattered``
+or ``natarajan_shattered``.  The kernel's cube masks come from
+``_label_walk``, which ANDs the class's ``label_masks`` one coordinate at a
+time and keeps the nodes of the previous set's prefixes, shared by sets in
+``combinations`` order.  On ``extremal_class(300, 3, 1, 1)``, whose search
+tests all 44,850 pairs, this took ``ds_dimension`` from 3.7-4.8 s (one
+``_cube_mask`` pass over the columns per set) to 0.43 s on a 2-core x86-64
+box, Python 3.11.  The walk gives ``_cube_mask``'s int, so it changes no
 answer.  The driver ends with one set-path call on the witness, which must
 agree with the kernel, else it raises.
 ``max_pseudocube_core``, the heap behind ``ds_shattered``, stays the one
@@ -247,8 +237,8 @@ def _cube_mask(cols: tuple[tuple[int, ...], ...], coords: Coords, k: int) -> int
     each projected pattern p, where ``cols`` is a class's ``columns``.
 
     It reads |H| d labels per set, whatever other sets were asked before.
-    ``_closed_dimension`` calls it for sets with |H| < k^d <= 1024 |H|, where
-    it beat ``_label_walk``, and the tests hold the walk to it on every set."""
+    ``_closed_dimension`` calls it only on the witness, to compare the set
+    path's answer, and the tests hold ``_label_walk`` to it on every set."""
     index = cols[coords[-1]]
     for c in reversed(coords[:-1]):
         index = map(add, map(mul, index, repeat(k)), cols[c])
@@ -310,7 +300,10 @@ def _label_walk(masks: tuple[tuple[int, ...], ...], k: int, size: int):
     one list per depth, and the walk restarts from the first coordinate that
     differs: sets in ``combinations`` order share their leading coordinates.
     A level holds at most min(k^j, |H|) nodes, each ANDed with k masks of |H|
-    bits."""
+    bits, so time and memory can grow as |H|^2 on dense classes: on
+    ``random_class(9, 4, 0.2, 1)`` (52,759 patterns) ``ds_dimension`` peaked at
+    320 MiB of traced allocations, against 12 MiB with one ``_cube_mask`` per
+    set."""
     stack = [[(1, (1 << size) - 1)]]
     last: list[int] = []
 
@@ -341,28 +334,29 @@ def _closed_dimension(h: HypothesisClass, ell: int, kernel, set_path) -> Dimensi
 
     A d-set with k^d <= 1024 |H| is tested by ``kernel(cells, k, zero, ell + 1)``
     on its cube mask, ``zero`` being ``_digit_zero(k, d)``; a larger one by
-    ``set_path(h, coords, ell)``.  The cube mask of a set with k^d <= |H|
-    comes from ``_label_walk``, which reuses the nodes of the previous set's
-    shared prefix; above that, from ``_cube_mask``, whose one pass over the
-    class beat the walk on dense sets.  After the search, one ``set_path``
-    call on the witness gives the witness structure.  It must agree with the
+    ``set_path(h, coords, ell)``.  The cube masks come from ``_label_walk``,
+    built on the first set the kernel tests, which reuses the nodes of the
+    previous set's shared prefix.  After the search, one ``set_path`` call on
+    the witness gives the witness structure.  It must agree with the
     kernel's answer, compared as cells when that answer is a cell set (DS),
     else this raises ``RuntimeError``."""
-    k, cols, size = h.k, h.columns, len(h)
+    k, size = h.k, len(h)
     cap = _KERNEL_CELLS_PER_PATTERN * size
-    walk = _label_walk(h.label_masks, k, size)
+    walk = None
     zero: dict[int, tuple[int, ...]] = {}
 
     def shattered(coords):
+        nonlocal walk
         d = len(coords)
         if k ** d > cap:
             return set_path(h, coords, ell)
+        if walk is None:
+            walk = _label_walk(h.label_masks, k, size)
         if d not in zero:
             zero[d] = _digit_zero(k, d)
-        cells = walk(coords) if k ** d <= size else _cube_mask(cols, coords, k)
-        return kernel(cells, k, zero[d], ell + 1)
+        return kernel(walk(coords), k, zero[d], ell + 1)
 
-    res = _search(_live(cols, ell), size, ell + 1, shattered,
+    res = _search(_live(h.columns, ell), size, ell + 1, shattered,
                   lower=_sauer_lower(h.n, k, ell, size))
     if not res.value:
         return res
