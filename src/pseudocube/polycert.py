@@ -8,6 +8,13 @@ Two certificate styles are produced:
   the prime p = 2^61 - 1 first, which is a lower bound on the rank over Q;
   its rows are built as that rank reads them, and it stops at |H|.
   Fraction-free elimination runs only when the two ranks could differ.
+  The rows of the lex standard monomials of the class that lie in the basis
+  are read first, the other basis rows after them.  The standard rows are
+  independent, so when all of them lie in the basis the rank reaches |H|
+  after |H| rows, unless p divides their determinant.  The order needs no
+  proof: the rank of a set of rows does not depend on the order they are
+  read in, so a wrong standard set could cost rows but never change the
+  rank.
 * ``construct_q`` replays the inductive argument: peel a pattern with a
   deficient direction, interpolate its off-direction indicator on the
   projection recursively, multiply the single-variable correction factor,
@@ -259,6 +266,53 @@ def exact_rank(rows: Iterable[list[int]]) -> int:
     return rank_bareiss(read)
 
 
+def lex_standard_monomials(h: HypothesisClass) -> list[Pattern]:
+    """The lex standard monomials of the point set ``h``, coordinate 0 the
+    most significant variable, in lex order: the exponent vectors whose
+    evaluation rows greedy elimination keeps when it reads them in the
+    order of ``monomial_set``.  Their rows are a basis of the functions on h.
+
+    Cerlienco-Mureddu fibre recursion: x0^a * m is standard on h iff m is
+    standard on h_a, the projections off coordinate 0 whose fibre in h holds
+    more than a patterns.  The h_a nest and their sizes add up to |h|, so
+    each coordinate costs O(|h|) fibre counts.  The recursion runs as a loop
+    over the coordinates, one level of (exponent prefix, members) at a time,
+    so its call depth does not grow with n.
+    """
+    pats = list(h.patterns)
+    # tails[j][i] names pats[j][i:]: equal names, equal suffixes
+    names: dict[tuple[int, int], int] = {}
+    tails = []
+    for p in pats:
+        tail = [0] * (h.n + 1)
+        for i in range(h.n - 1, -1, -1):
+            tail[i] = names.setdefault((p[i], tail[i + 1]), len(names) + 1)
+        tails.append(tail)
+    # an exponent prefix is a linked list (last exponent, rest), so extending
+    # one is O(1); members are one pattern per distinct suffix at this level
+    level = [(None, range(len(pats)))]
+    for i in range(1, h.n + 1):
+        deeper = []
+        for prefix, members in level:
+            fibres = defaultdict(list)
+            for j in members:
+                fibres[tails[j][i]].append(j)
+            groups, a = list(fibres.values()), 0
+            while groups:
+                deeper.append(((a, prefix), [g[0] for g in groups]))
+                a += 1
+                groups = [g for g in groups if len(g) > a]
+        level = deeper
+    standard = []
+    for prefix, _ in level:
+        exp = []
+        while prefix is not None:
+            a, prefix = prefix
+            exp.append(a)
+        standard.append(tuple(reversed(exp)))
+    return standard
+
+
 def spanning_certificate(h: HypothesisClass, ell: int, d: int,
                          check_dim: bool = True) -> SpanReport:
     """Rank over Q of the (monomial x pattern) integer evaluation matrix.
@@ -269,6 +323,14 @@ def spanning_certificate(h: HypothesisClass, ell: int, d: int,
     a minor that is nonzero mod p is nonzero over Z.  It is returned when it
     equals min(monomials, |H|); only a shortfall runs fraction-free
     elimination, so the reported rank is exact either way.
+
+    The rows are read in two groups, each in ``monomial_set`` order: the
+    basis monomials that are lex standard on h (``lex_standard_monomials``),
+    then the rest.  The standard rows are a basis of the functions on h, so
+    when every standard monomial lies in the basis the rank mod p reaches
+    |H| on them alone, unless p divides their determinant, and no dependent
+    row is reduced.  Otherwise the other rows follow.  Either way the rank
+    is the rank of all the rows, which does not depend on their order.
     """
     if h.is_empty:
         raise ValueError("cannot certify the empty class")
@@ -278,13 +340,15 @@ def spanning_certificate(h: HypothesisClass, ell: int, d: int,
             raise ValueError(f"d={d} is below the DS dimension {true_d}; "
                              "the certificate would be meaningless")
     exponents = monomial_set(h.n, h.k, ell, d)
+    standard = set(lex_standard_monomials(h))
     pats = h.sorted_patterns()
     # powers[i][e][j] is the i-th coordinate of pattern j to the e-th power
     powers = [[[p[i] ** e for p in pats] for e in range(h.k)] for i in range(h.n)]
 
     def rows():
-        # built on demand: the rank mod p stops reading at |H|
-        for exp in exponents:
+        # built on demand: the rank mod p stops reading at |H|, which the
+        # standard rows reach alone when all of them lie in the basis
+        for exp in sorted(exponents, key=lambda e: e not in standard):
             row = [1] * len(pats)
             for i, e in enumerate(exp):
                 if e:

@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import random
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product
@@ -11,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from pseudocube import (CapExceeded, HypothesisClass, PeelingError, RationalPolynomial,
                         construct_q, ds_dimension, ds_sauer_bound, extremal_class,
                         indicator_poly, load_certificate, max_pseudocube_core,
-                        monomial_set, peeling_order, serialize_certificate,
+                        monomial_set, peeling_order, random_class, serialize_certificate,
                         spanning_certificate, verify_certificate)
 from pseudocube import polycert
 from pseudocube.polycert import (MODULUS, VerifyReport, exact_rank, rank_bareiss,
@@ -213,6 +214,41 @@ def _no_bareiss(rows, bit_cap=None):
     raise AssertionError("rank_bareiss ran on a full-rank matrix")
 
 
+@pytest.fixture
+def rows_read(monkeypatch):
+    """Spies on ``polycert.exact_rank``: per call, (rows read, rows left unread)."""
+    counts = []
+
+    def spy(rows):
+        read = [0]
+
+        def counted():
+            for row in rows:
+                read[0] += 1
+                yield row
+
+        rank = exact_rank(counted())
+        counts.append((read[0], sum(1 for _ in rows)))
+        return rank
+
+    monkeypatch.setattr(polycert, "exact_rank", spy)
+    return counts
+
+
+def permuted(h, rng):
+    order = list(range(h.n))
+    rng.shuffle(order)
+    return make(h.n, h.k, [tuple(p[i] for i in order) for p in h.patterns])
+
+
+def plain_order_rank(h, ell, d):
+    """The rank over the evaluation rows in ``monomial_set`` order, without
+    the standard monomials read first."""
+    pats = h.sorted_patterns()
+    return exact_rank([math.prod(x ** e for x, e in zip(p, exp)) for p in pats]
+                      for exp in monomial_set(h.n, h.k, ell, d))
+
+
 class TestSpanningCertificate:
     def test_three_corners_hand_matrix(self):
         rep = spanning_certificate(THREE, 1, 1)
@@ -269,29 +305,64 @@ class TestSpanningCertificate:
         with pytest.raises(CapExceeded, match=r"^entry exceeded 0 bits during elimination$"):
             spanning_certificate(h, 1, 1, check_dim=False)
 
-    def test_rows_past_full_rank_are_never_built(self, monkeypatch):
+    def test_rows_past_full_rank_are_never_built(self, rows_read):
         # at n=5, d=3 there are 131 monomials against |H| = 42..56, and the
         # rank mod p reaches |H| after 85 or 99 rows
-        counts = []
-
-        def spy(rows):
-            read = [0]
-
-            def counted():
-                for row in rows:
-                    read[0] += 1
-                    yield row
-
-            rank = exact_rank(counted())
-            counts.append((read[0], sum(1 for _ in rows)))
-            return rank
-
-        monkeypatch.setattr(polycert, "exact_rank", spy)
         for h in random_corpus(3, 5, 3, 0.2, seed0=0):
             rep = spanning_certificate(h, 1, 3)
-            read, left = counts[-1]
+            read, left = rows_read[-1]
             assert rep.spans and rep.rank == len(h)
             assert read < rep.monomial_count == read + left == 131
+
+    def test_standard_rows_first_read_exactly_the_class_size(self, rows_read):
+        """Whenever every lex standard monomial lies in the basis, the rank
+        reads |H| rows and no more; either way it is the rank over the rows
+        in plain ``monomial_set`` order."""
+        rng = random.Random(28)
+        bases = [(extremal_class(n, k, ell, d), ell)
+                 for n, k, ell, d in ((2, 3, 1, 1), (3, 3, 2, 1), (4, 3, 1, 2),
+                                      (4, 4, 2, 1), (5, 3, 1, 2))]
+        bases += [(h, 1 + idx % 2) for idx, h in
+                  enumerate(random_corpus(12, 4, 3, 0.3, seed0=2800)
+                            + random_corpus(6, 5, 3, 0.2, seed0=2900))]
+        fits = spills = 0
+        for base, ell in bases:
+            d = ds_dimension(base, ell).value
+            for h in [base] + [permuted(base, rng) for _ in range(3)]:
+                rep = spanning_certificate(h, ell, d, check_dim=False)
+                read, _ = rows_read[-1]
+                assert rep.spans and rep.rank == plain_order_rank(h, ell, d) == len(h)
+                if set(polycert.lex_standard_monomials(h)) <= set(monomial_set(h.n, h.k, ell, d)):
+                    fits += 1
+                    assert read == len(h)
+                else:
+                    spills += 1
+                    assert read > len(h)
+        assert fits and spills
+
+    def test_rank_deficient_rank_matches_the_plain_order(self, rows_read):
+        h = make(2, 3, [(a, b) for a in range(2) for b in range(2)])
+        rep = spanning_certificate(h, 1, 1, check_dim=False)
+        assert rep.rank == plain_order_rank(h, 1, 1) == 3
+        assert rows_read == [(5, 0)]
+
+    def test_benchmark_n6_span_cell_reads_the_class_size(self, rows_read):
+        # the base class of the n=6 span cell of the cert benchmark workload;
+        # its lex standard monomials lie in the d=4 basis under all 720
+        # coordinate orders
+        base = next(h for h in (random_class(6, 3, 0.13, s) for s in range(3000, 4000))
+                    if 85 <= len(h) <= 92)
+        assert len(base) == 90 and ds_dimension(base, 1).value == 4
+        rng = random.Random(6)
+        for h in [base] + [permuted(base, rng) for _ in range(3)]:
+            rep = spanning_certificate(h, 1, 4, check_dim=False)
+            assert rep.spans and rows_read[-1] == (90, 473 - 90)
+
+    def test_no_recursion_at_1500_coordinates(self):
+        h = make(1500, 2, [(0,) * 1500, (1,) * 1500])
+        assert polycert.lex_standard_monomials(h) == [(0,) * 1500, (0,) * 1499 + (1,)]
+        rep = spanning_certificate(h, 1, 1, check_dim=False)
+        assert rep.rank == 2 and rep.spans
 
     def test_spans_at_full_grid_scale(self):
         corpus = (random_corpus(20, 4, 4, 0.15, seed0=720, max_size=40)
@@ -535,6 +606,33 @@ class TestExhaustiveSmall:
         for h in all_classes(2, 2):
             d = ds_dimension(h, 1).value
             assert spanning_certificate(h, 1, d, check_dim=False).spans
+
+
+class TestLexStandardMonomials:
+    """The fibre recursion against greedy exact elimination, ``oracles.lex_standard_monomials``."""
+
+    @staticmethod
+    def assert_matches_elimination(h):
+        assert polycert.lex_standard_monomials(h) == lex_standard_monomials(h, range(h.n))
+
+    def test_every_class_at_n2_k3(self):
+        for h in all_classes(2, 3):
+            self.assert_matches_elimination(h)
+
+    def test_random_corpus(self):
+        corpus = (random_corpus(20, 3, 3, 0.4, seed0=2810) + random_corpus(10, 3, 4, 0.3, seed0=2830)
+                  + random_corpus(8, 4, 3, 0.3, seed0=2850)
+                  + random_corpus(3, 4, 4, 0.1, seed0=2870, max_size=30))
+        for h in corpus:
+            self.assert_matches_elimination(h)
+
+    def test_single_pattern_and_full_cube(self):
+        for h in (make(4, 3, [(2, 0, 1, 2)]), make(2, 4, product(range(4), repeat=2)),
+                  make(3, 3, product(range(3), repeat=3))):
+            self.assert_matches_elimination(h)
+        assert polycert.lex_standard_monomials(make(4, 3, [(2, 0, 1, 2)])) == [(0, 0, 0, 0)]
+        cube = make(3, 4, product(range(4), repeat=3))
+        assert polycert.lex_standard_monomials(cube) == list(product(range(4), repeat=3))
 
 
 def test_lex_standard_monomials_can_leave_the_bounded_high_basis():
