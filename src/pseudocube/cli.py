@@ -2,9 +2,14 @@
 
 Subcommands: dim, bound, gen, oig, cert, learn, sweep, verify.  Every report
 opens with the tool version and the fully resolved parameters, and identical
-invocations (including seeds) produce byte-identical output.  Exit status:
-0 on success, 1 when a verified inequality fails (an implementation bug, so
-it is reported loudly), 2 on usage or input errors.
+invocations (including seeds) produce byte-identical output.  Every report is
+written by ``_report``, which alone decides between the ``# tool=pseudocube``
+header line followed by the report's lines and, under --format json, one JSON
+envelope; only class and certificate files (``gen``, ``oig shift`` and
+``fixpoint``, ``cert replay`` without --output) are written without one.  The
+parser adds the arguments of the invoked subcommand only.  Exit status: 0 on
+success, 1 when a verified inequality fails (an implementation bug, so it is
+reported loudly), 2 on usage or input errors.
 """
 
 from __future__ import annotations
@@ -54,20 +59,25 @@ def _int_at_least(low: int):
     return parse
 
 
-def _resolved(args) -> dict:
-    return {k: v for k, v in sorted(vars(args).items())
-            if k not in ("func", "command") and v is not None}
+def _emit(out, text: str) -> None:
+    out.write(text if text.endswith("\n") else text + "\n")
 
 
-def _header(args, command: str) -> str:
-    params = " ".join(f"{k}={v}" for k, v in _resolved(args).items())
-    return f"# tool=pseudocube version={__version__} command={command} {params}"
-
-
-def _json_report(args, command: str, result) -> str:
-    return json.dumps({"tool": "pseudocube", "version": __version__,
-                       "command": command, "config": _resolved(args), "result": result},
-                      separators=(",", ":"), default=str) + "\n"
+def _report(args, out, result, *lines) -> None:
+    """Write one report of ``args.command``: under --format json the envelope
+    of ``result``, else the header line with every resolved parameter and
+    then ``lines``.  Text-only reports pass None as ``result``."""
+    config = {k: v for k, v in sorted(vars(args).items())
+              if k not in ("func", "command") and v is not None}
+    if getattr(args, "format", "text") == "json":
+        out.write(json.dumps({"tool": "pseudocube", "version": __version__,
+                              "command": args.command, "config": config, "result": result},
+                             separators=(",", ":"), default=str) + "\n")
+        return
+    params = " ".join(f"{k}={v}" for k, v in config.items())
+    _emit(out, f"# tool=pseudocube version={__version__} command={args.command} {params}")
+    for line in lines:
+        _emit(out, line)
 
 
 def _read_class(path: str) -> HypothesisClass:
@@ -75,10 +85,6 @@ def _read_class(path: str) -> HypothesisClass:
         return parse_class(sys.stdin.read())
     with open(path, "r", encoding="utf-8") as fh:
         return parse_class(fh.read())
-
-
-def _emit(out, text: str) -> None:
-    out.write(text if text.endswith("\n") else text + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -98,12 +104,8 @@ def _cmd_dim(args, out) -> int:
     else:
         res = graph_dimension(ListClass.from_hypothesis_class(h), budget=args.cap)
     witness = ",".join(str(i) for i in res.witness)
-    if args.format == "json":
-        _emit(out, _json_report(args, "dim",
-                                {"value": res.value, "witness": list(res.witness)}))
-    else:
-        _emit(out, _header(args, "dim"))
-        _emit(out, f"value={res.value} witness=[{witness}]")
+    _report(args, out, {"value": res.value, "witness": list(res.witness)},
+            f"value={res.value} witness=[{witness}]")
     return EXIT_OK
 
 
@@ -114,11 +116,7 @@ def _cmd_dim(args, out) -> int:
 def _cmd_bound(args, out) -> int:
     fn = ds_sauer_bound if args.kind == "ds" else natarajan_sauer_bound
     value = fn(args.n, args.k, args.ell, args.d)
-    if args.format == "json":
-        _emit(out, _json_report(args, "bound", {"value": value}))
-    else:
-        _emit(out, _header(args, "bound"))
-        _emit(out, f"value={value}")
+    _report(args, out, {"value": value}, f"value={value}")
     return EXIT_OK
 
 
@@ -150,17 +148,11 @@ def _cmd_oig(args, out) -> int:
         g = build_oig(h)
         st = degree_stats(g, args.ell)
         sizes = sorted(len(e) for e in g.edges)
-        if args.format == "json":
-            _emit(out, _json_report(args, "oig", {
-                "vertices": len(g.vertices), "edges": len(g.edges),
-                "savd": str(st.savd), "avd": str(st.avd),
-                "max_ell_degree": max(st.degrees.values(), default=0)}))
-        else:
-            _emit(out, _header(args, "oig"))
-            _emit(out, f"vertices={len(g.vertices)} edges={len(g.edges)} "
-                       f"edge_sizes={sizes}")
-            _emit(out, f"savd={st.savd} avd={st.avd} "
-                       f"max_ell_degree={max(st.degrees.values(), default=0)}")
+        top = max(st.degrees.values(), default=0)
+        _report(args, out, {"vertices": len(g.vertices), "edges": len(g.edges),
+                            "savd": str(st.savd), "avd": str(st.avd), "max_ell_degree": top},
+                f"vertices={len(g.vertices)} edges={len(g.edges)} edge_sizes={sizes}",
+                f"savd={st.savd} avd={st.avd} max_ell_degree={top}")
         return EXIT_OK
     if args.action == "shift":
         _emit(out, serialize_class(shift(h, args.dir)).rstrip("\n"))
@@ -171,14 +163,12 @@ def _cmd_oig(args, out) -> int:
         return EXIT_OK if is_downward_closed(fixed) else EXIT_VERIFY_FAILED
     if args.action == "density":
         md = max_density_bruteforce(h, args.ell, cap=args.cap)
-        _emit(out, _header(args, "oig"))
-        _emit(out, f"max_density={md}")
+        _report(args, out, None, f"max_density={md}")
         return EXIT_OK
     g = build_oig(h)
     sigma, cstar = orient_minmax(g, args.ell)
-    _emit(out, _header(args, "oig"))
-    _emit(out, f"cstar={cstar} max_outdegree={max(outdegrees(g, sigma).values())}")
-    out.write(format_orientation(g, sigma))
+    _report(args, out, None, f"cstar={cstar} max_outdegree={max(outdegrees(g, sigma).values())}",
+            format_orientation(g, sigma))
     return EXIT_OK
 
 
@@ -195,10 +185,8 @@ def _cmd_cert(args, out) -> int:
         h = _read_class(args.input) if args.input else embedded
         report = (verify_certificate(cert, h) if h == embedded else
                   VerifyReport(ok=False, failures=("certificate class differs from --input class",)))
-        _emit(out, _header(args, "cert"))
-        _emit(out, f"ok={report.ok}")
-        for msg in report.failures:
-            _emit(out, f"failure: {msg}")
+        _report(args, out, None, f"ok={report.ok}",
+                *(f"failure: {msg}" for msg in report.failures))
         return EXIT_OK if report.ok else EXIT_VERIFY_FAILED
     if args.input is None:
         raise ValueError(f"cert {args.action} needs --input")
@@ -207,17 +195,15 @@ def _cmd_cert(args, out) -> int:
     if args.action == "span":
         # a computed d is the DS dimension already; only a given one is checked
         rep = spanning_certificate(h, args.ell, d, check_dim=args.d is not None)
-        _emit(out, _header(args, "cert"))
-        _emit(out, f"rank={rep.rank} class_size={rep.class_size} "
-                   f"monomials={rep.monomial_count} spans={rep.spans}")
+        _report(args, out, None, f"rank={rep.rank} class_size={rep.class_size} "
+                                 f"monomials={rep.monomial_count} spans={rep.spans}")
         return EXIT_OK if rep.spans else EXIT_VERIFY_FAILED
     cert = construct_q(h, args.ell, d)
     text = serialize_certificate(cert, h)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
-        _emit(out, _header(args, "cert"))
-        _emit(out, f"written={args.output} steps={len(cert.ordering)}")
+        _report(args, out, None, f"written={args.output} steps={len(cert.ordering)}")
     else:
         out.write(text)
     return EXIT_OK
@@ -237,45 +223,37 @@ def _cmd_learn(args, out) -> int:
         rep = loo_experiment(task, cfg, provider_kind=args.provider,
                              keep_trials=args.verbose, jobs=args.jobs)
         ok = float(rep.empirical_error) <= rep.bound
-        if args.format == "json":
-            result = {"empirical_error": str(rep.empirical_error),
-                      "bound": rep.bound, "d": rep.d_used,
-                      "ell_prime": rep.ell_prime_used,
-                      "ell_prime_theory": rep.ell_prime_theory,
-                      "forced_share": str(Fraction(rep.forced_trials, rep.trials)),
-                      "pass": ok}
-            if args.verbose:
-                result["per_trial"] = [int(x) for x in rep.per_trial]
-            _emit(out, _json_report(args, "learn", result))
-        else:
-            _emit(out, _header(args, "learn"))
-            _emit(out, "ell,d,ell_prime,m,trials,empirical_error,bound,pass")
-            _emit(out, f"{rep.ell},{rep.d_used},{rep.ell_prime_used},{rep.m},"
-                       f"{rep.trials},{rep.empirical_error},{rep.bound:.6g},{ok}")
-            _emit(out, f"# context: generic first-stage list width would be "
-                       f"{rep.ell_prime_theory:.6g}")
+        result = {"empirical_error": str(rep.empirical_error),
+                  "bound": rep.bound, "d": rep.d_used,
+                  "ell_prime": rep.ell_prime_used,
+                  "ell_prime_theory": rep.ell_prime_theory,
+                  "forced_share": str(Fraction(rep.forced_trials, rep.trials)),
+                  "pass": ok}
+        if args.verbose:
+            result["per_trial"] = [int(x) for x in rep.per_trial]
+        _report(args, out, result,
+                "ell,d,ell_prime,m,trials,empirical_error,bound,pass",
+                f"{rep.ell},{rep.d_used},{rep.ell_prime_used},{rep.m},"
+                f"{rep.trials},{rep.empirical_error},{rep.bound:.6g},{ok}",
+                f"# context: generic first-stage list width would be "
+                f"{rep.ell_prime_theory:.6g}")
         return EXIT_OK if ok else EXIT_VERIFY_FAILED
     if args.action == "pac":
         rep = pac_learn(task, cfg, provider_kind=args.provider)
         ok = rep.test_error <= cfg.epsilon
-        if args.format == "json":
-            _emit(out, _json_report(args, "learn", {
-                "test_error": rep.test_error,
-                "population_error": str(rep.population_error),
-                "chosen": rep.chosen, "chunks": rep.chunks,
-                "chunk_size": rep.chunk_size, "val_size": rep.val_size,
-                "pass": ok}))
-        else:
-            _emit(out, _header(args, "learn"))
-            _emit(out, "epsilon,delta,m,test_error,population_error,chosen,pass")
-            _emit(out, f"{cfg.epsilon},{cfg.delta},{cfg.m},{rep.test_error:.6g},"
-                       f"{rep.population_error},{rep.chosen},{ok}")
+        _report(args, out, {"test_error": rep.test_error,
+                            "population_error": str(rep.population_error),
+                            "chosen": rep.chosen, "chunks": rep.chunks,
+                            "chunk_size": rep.chunk_size, "val_size": rep.val_size,
+                            "pass": ok},
+                "epsilon,delta,m,test_error,population_error,chosen,pass",
+                f"{cfg.epsilon},{cfg.delta},{cfg.m},{rep.test_error:.6g},"
+                f"{rep.population_error},{rep.chosen},{ok}")
         return EXIT_OK
     lc = ListClass.from_hypothesis_class(h)
     rep = uc_experiment(lc, task, cfg)
-    _emit(out, _header(args, "learn"))
-    _emit(out, f"sup_deviation={rep.sup_deviation:.6g} graph_dim={rep.g_dim} "
-               f"m={rep.m} trials={rep.trials}")
+    _report(args, out, None, f"sup_deviation={rep.sup_deviation:.6g} graph_dim={rep.g_dim} "
+                             f"m={rep.m} trials={rep.trials}")
     return EXIT_OK
 
 
@@ -321,10 +299,8 @@ def _cmd_sweep(args, out) -> int:
             results = pool.starmap(_sweep_row, items, chunksize=64)
     else:
         results = [_sweep_row(*item) for item in items]
-    _emit(out, _header(args, "sweep"))
-    _emit(out, "id,n,k,ell,d,size,ds_bound,nat_bound,slack,holds")
-    for row, _ in results:
-        _emit(out, row)
+    _report(args, out, None, "id,n,k,ell,d,size,ds_bound,nat_bound,slack,holds",
+            *(row for row, _ in results))
     return EXIT_OK if all(holds for _, holds in results) else EXIT_VERIFY_FAILED
 
 
@@ -381,8 +357,7 @@ def _verify_input(args, out) -> int:
     verify_sauer(h, args.ell, claimed_d=args.d)
     # the header reports the class that was read, not the --n and --k defaults
     args.n, args.k = h.n, h.k
-    _emit(out, _header(args, "verify"))
-    _emit(out, "sauer: ok")
+    _report(args, out, None, "sauer: ok")
     return EXIT_OK
 
 
@@ -398,7 +373,7 @@ def _cmd_verify(args, out) -> int:
     corpus = _corpus(args, args.target in ("sauer", "appendix"))
     if args.target == "appendix":
         _check_ell(args.ell, args.k)
-    _emit(out, _header(args, "verify"))
+    _report(args, out, None)
     checked = failures = largest = 0
     for key, h in corpus:
         c, f, size = _CHECKS[args.target](key, h, args.ell)
@@ -526,10 +501,10 @@ _SUBCOMMANDS = (
 )
 
 
-def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+def _build_parser(command: str | None) -> argparse.ArgumentParser:
     """The parser with every subcommand and its help string, but the arguments
-    of ``command`` only, or of every subcommand when it is None.  Usage, help
-    and error texts are the same either way for an invocation of ``command``."""
+    of ``command`` only.  With no subcommand named nothing parses them: the
+    top-level help and the missing-command error list only the names."""
     parser = argparse.ArgumentParser(
         prog="pseudocube",
         description="Exact dimensions, sharp size bounds, orientations, and "
@@ -538,7 +513,7 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text, add_arguments in _SUBCOMMANDS:
         p = sub.add_parser(name, help=help_text)
-        if command is None or command == name:
+        if command == name:
             add_arguments(p)
     return parser
 

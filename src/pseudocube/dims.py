@@ -36,14 +36,15 @@ intersects the suffix sets of ell+1 values, looking for the factor sets of
 an (ell+1)-cube.  Its work follows k^d where the set path's follows |H| d, so
 the driver sends a set with k^d > 1024 |H| to the set path, ``ds_shattered``
 or ``natarajan_shattered``.  The kernel's cube masks come from
-``_label_walk``, which ANDs the class's ``label_masks`` one coordinate at a
-time and keeps the nodes of the previous set's prefixes, shared by sets in
-``combinations`` order.  On ``extremal_class(300, 3, 1, 1)``, whose search
-tests all 44,850 pairs, this took ``ds_dimension`` from 3.7-4.8 s (one
-``_cube_mask`` pass over the columns per set) to 0.43 s on a 2-core x86-64
-box, Python 3.11.  The walk gives ``_cube_mask``'s int, so it changes no
-answer.  The driver ends with one set-path call on the witness, which must
-agree with the kernel, else it raises.
+``_label_walk``, the package's only cube-mask builder, which ANDs the
+class's ``label_masks`` one coordinate at a time and keeps the nodes of the
+previous set's prefixes, shared by sets in ``combinations`` order.  On
+``extremal_class(300, 3, 1, 1)``, whose search tests all 44,850 pairs, this
+took ``ds_dimension`` from 3.7-4.8 s (one pass over the columns per set) to
+0.43 s on a 2-core x86-64 box, Python 3.11.  The mask read off the patterns
+is kept as the tests' oracle for the walk (``tests/oracles.py``).  The
+driver ends with one set-path call on the witness, which must agree with
+the kernel, else it raises.
 ``max_pseudocube_core``, the heap behind ``ds_shattered``, stays the one
 peel engine and the only source of peel traces: the peeling orders of the
 certificates in ``polycert`` are its traces, and the DS witness structure
@@ -54,10 +55,9 @@ from __future__ import annotations
 
 import heapq
 import warnings
-from collections import defaultdict, deque
+from collections import defaultdict
 from dataclasses import dataclass
-from itertools import accumulate, combinations, product, repeat
-from operator import add, and_, mul
+from itertools import combinations, product
 from typing import Iterable
 
 from .classes import CapExceeded, Coords, HypothesisClass, Pattern, lines, project
@@ -229,24 +229,6 @@ def ds_shattered(h: HypothesisClass, coords: Coords, ell: int):
 # 28 ms at d=8 (16,777 |H|).
 _KERNEL_CELLS_PER_PATTERN = 1024
 
-_BITS = bytes.maketrans(b"\x00\x01", b"01")
-
-
-def _cube_mask(cols: tuple[tuple[int, ...], ...], coords: Coords, k: int) -> int:
-    """The projection onto ``coords`` as one int: bit sum_j p_j k^j is set for
-    each projected pattern p, where ``cols`` is a class's ``columns``.
-
-    It reads |H| d labels per set, whatever other sets were asked before.
-    ``_closed_dimension`` calls it only on the witness, to compare the set
-    path's answer, and the tests hold ``_label_walk`` to it on every set."""
-    index = cols[coords[-1]]
-    for c in reversed(coords[:-1]):
-        index = map(add, map(mul, index, repeat(k)), cols[c])
-    cells = bytearray(k ** len(coords))
-    deque(map(cells.__setitem__, index, repeat(1)), maxlen=0)
-    # base 2 is linear and exempt from the limit on int digits
-    return int(cells.translate(_BITS)[::-1], 2)
-
 
 def _digit_zero(k: int, d: int) -> tuple[int, ...]:
     """For each digit j < d, the cells of [k]^d whose digit j is 0."""
@@ -257,7 +239,7 @@ def _digit_zero(k: int, d: int) -> tuple[int, ...]:
 
 def _cube_core(cells: int, k: int, zero: tuple[int, ...], m: int) -> int:
     """The maximal m-pseudo-cube inside the cell set ``cells`` of [k]^d (see
-    ``_cube_mask``), as a cell set; 0 when there is none.  ``zero`` is
+    ``_label_walk``), as a cell set; 0 when there is none.  ``zero`` is
     ``_digit_zero(k, d)``.
 
     Each step takes one direction j and keeps the cells of the lines in
@@ -289,8 +271,9 @@ def _cube_core(cells: int, k: int, zero: tuple[int, ...], m: int) -> int:
 
 
 def _label_walk(masks: tuple[tuple[int, ...], ...], k: int, size: int):
-    """A function from a coordinate set to ``_cube_mask``'s int, read off
-    ``masks``, the ``label_masks`` of a class of ``size`` patterns.
+    """A function from a coordinate set to its cube mask, the projection onto
+    it as one int with bit sum_j p_j k^j set for each projected pattern p,
+    read off ``masks``, the ``label_masks`` of a class of ``size`` patterns.
 
     A node is a (cell, pattern mask) pair, its cell held as the one-bit int
     2^cell; the walk starts from (0, every pattern), splits each node at
@@ -302,8 +285,8 @@ def _label_walk(masks: tuple[tuple[int, ...], ...], k: int, size: int):
     A level holds at most min(k^j, |H|) nodes, each ANDed with k masks of |H|
     bits, so time and memory can grow as |H|^2 on dense classes: on
     ``random_class(9, 4, 0.2, 1)`` (52,759 patterns) ``ds_dimension`` peaked at
-    320 MiB of traced allocations, against 12 MiB with one ``_cube_mask`` per
-    set."""
+    320 MiB of traced allocations, against 12 MiB with one pass over the
+    columns per set."""
     stack = [[(1, (1 << size) - 1)]]
     last: list[int] = []
 
@@ -336,10 +319,11 @@ def _closed_dimension(h: HypothesisClass, ell: int, kernel, set_path) -> Dimensi
     on its cube mask, ``zero`` being ``_digit_zero(k, d)``; a larger one by
     ``set_path(h, coords, ell)``.  The cube masks come from ``_label_walk``,
     built on the first set the kernel tests, which reuses the nodes of the
-    previous set's shared prefix.  After the search, one ``set_path`` call on
-    the witness gives the witness structure.  It must agree with the
-    kernel's answer, compared as cells when that answer is a cell set (DS),
-    else this raises ``RuntimeError``."""
+    previous set's shared prefix.  A falsy kernel answer, an empty cell set,
+    counts as no hit.  After the search, one
+    ``set_path`` call on the witness gives the witness structure.  It must
+    agree with the kernel's answer, compared as cells when that answer is a
+    cell set (DS), else this raises ``RuntimeError``."""
     k, size = h.k, len(h)
     cap = _KERNEL_CELLS_PER_PATTERN * size
     walk = None
@@ -354,7 +338,7 @@ def _closed_dimension(h: HypothesisClass, ell: int, kernel, set_path) -> Dimensi
             walk = _label_walk(h.label_masks, k, size)
         if d not in zero:
             zero[d] = _digit_zero(k, d)
-        return kernel(walk(coords), k, zero[d], ell + 1)
+        return kernel(walk(coords), k, zero[d], ell + 1) or None
 
     res = _search(_live(h.columns, ell), size, ell + 1, shattered,
                   lower=_sauer_lower(h.n, k, ell, size))
@@ -362,7 +346,8 @@ def _closed_dimension(h: HypothesisClass, ell: int, kernel, set_path) -> Dimensi
         return res
     found = seen = set_path(h, res.witness, ell)
     if found is not None and isinstance(res.witness_structure, int):
-        seen = _cube_mask(found.columns, tuple(range(res.value)), k)
+        # the core's patterns are distinct cells, so their sum is their union
+        seen = sum(1 << sum(v * k ** j for j, v in enumerate(p)) for p in found.patterns)
     if seen != res.witness_structure:
         raise RuntimeError(f"the set path and the cube-mask kernel disagree on the "
                            f"projection onto {res.witness}")
@@ -380,8 +365,7 @@ def ds_dimension(h: HypothesisClass, ell: int) -> DimensionResult:
     """
     if _preconditions(h, ell, f"no line can hold {ell + 1} distinct values, "):
         return DimensionResult(0, ())
-    return _closed_dimension(
-        h, ell, lambda cells, k, zero, m: _cube_core(cells, k, zero, m) or None, ds_shattered)
+    return _closed_dimension(h, ell, _cube_core, ds_shattered)
 
 
 def _cube_factors(patterns: Iterable[Pattern], d: int, ell1: int):
@@ -403,15 +387,18 @@ def _cube_factors(patterns: Iterable[Pattern], d: int, ell1: int):
     return None
 
 
-def _cube_mask_factors(cells: int, k: int, low: tuple[int, ...], ell1: int, j: int = 0):
-    """``_cube_factors`` on the cell set ``cells`` of [k]^d (see ``_cube_mask``),
-    from digit j on; ``low[j]`` holds the cells whose digits 0..j are 0.
+def _cube_mask_factors(cells: int, k: int, zero: tuple[int, ...], ell1: int, j: int = 0):
+    """``_cube_factors`` on the cell set ``cells`` of [k]^d (see ``_label_walk``),
+    from digit j on, every cell's digits below j being 0; ``zero`` is
+    ``_digit_zero(k, d)``.
 
-    The slice of value y at digit j, ``cells >> y * k**j & low[j]``, is the set
-    of suffixes that y extends, so ANDing slices intersects suffix sets, and
-    the values and their combinations run in the same order as there."""
-    d, stride = len(low), k ** j
-    slices = {y: s for y in range(k) if (s := cells >> y * stride & low[j])}
+    The slice of value y at digit j, ``cells >> y * k**j & zero[j]``, is the
+    set of suffixes that y extends, so ANDing slices intersects suffix sets,
+    and the values and their combinations run in the same order as there.
+    The shift subtracts a multiple of k^j from every cell, which keeps its
+    digits below j, so ``zero[j]`` alone leaves the digits 0..j at 0."""
+    d, stride = len(zero), k ** j
+    slices = {y: s for y in range(k) if (s := cells >> y * stride & zero[j])}
     need = ell1 ** (d - j - 1)
     for ys in combinations(slices, ell1):
         common = slices[ys[0]]
@@ -421,7 +408,7 @@ def _cube_mask_factors(cells: int, k: int, low: tuple[int, ...], ell1: int, j: i
             continue
         if j == d - 1:
             return (frozenset(ys),)
-        rest = _cube_mask_factors(common, k, low, ell1, j + 1)
+        rest = _cube_mask_factors(common, k, zero, ell1, j + 1)
         if rest is not None:
             return (frozenset(ys),) + rest
     return None
@@ -440,13 +427,11 @@ def natarajan_dimension(h: HypothesisClass, ell: int) -> DimensionResult:
     """Largest coordinate set whose projection contains an (ell+1)-cube.
 
     The search is ``_closed_dimension``'s, with the cube-mask kernel
-    ``_cube_mask_factors``, which takes the prefix ANDs of the digit masks,
-    and ``natarajan_shattered`` as the set path, which must return the
-    kernel's factors for the witness, else this raises."""
+    ``_cube_mask_factors`` and ``natarajan_shattered`` as the set path, which
+    must return the kernel's factors for the witness, else this raises."""
     if _preconditions(h, ell, ""):
         return DimensionResult(0, ())
-    return _closed_dimension(h, ell, lambda cells, k, zero, m: _cube_mask_factors(
-        cells, k, tuple(accumulate(zero, and_)), m), natarajan_shattered)
+    return _closed_dimension(h, ell, _cube_mask_factors, natarajan_shattered)
 
 
 def exponential_dimension(h: HypothesisClass, ell: int) -> DimensionResult:

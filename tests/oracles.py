@@ -118,6 +118,14 @@ def first_shattered(n: int, shattered, zero=None):
     return 0, (), zero
 
 
+def cube_mask(h: HypothesisClass, coords) -> int:
+    """The projection of ``h`` onto ``coords`` as one int, bit sum_j p_j k^j
+    for each projected pattern p: the cube mask that ``dims._label_walk``
+    builds from the label masks, read here off the patterns."""
+    cells = {sum(p[c] * h.k ** j for j, c in enumerate(coords)) for p in h.patterns}
+    return sum(1 << cell for cell in cells)
+
+
 def sample_realizable(concepts: HypothesisClass, sample) -> bool:
     """Does some concept match every labeled pair?"""
     return any(all(c[x] == y for x, y in sample) for c in concepts.patterns)

@@ -13,7 +13,7 @@ from pseudocube import dims, oig
 from pseudocube.dims import graph_shattered
 
 from conftest import all_classes, random_corpus
-from oracles import (brute_ds_dimension, brute_max_pseudocube, first_shattered,
+from oracles import (brute_ds_dimension, brute_max_pseudocube, cube_mask, first_shattered,
                      is_pseudocube, shift_path_exists)
 
 PAPER_CYCLE = HypothesisClass.from_patterns(
@@ -163,11 +163,10 @@ class TestCubeKernel:
             h = random_class(n, k, rng.choice((0.2, 0.4, 0.6, 0.8)), seed)
             if h.is_empty:
                 continue
-            cols = list(zip(*h.patterns))
             for ell in (1, 2, 3):
                 for d in range(1, n + 1):
                     for coords in itertools.combinations(range(n), d):
-                        mask = dims._cube_core(dims._cube_mask(cols, coords, k), k,
+                        mask = dims._cube_core(cube_mask(h, coords), k,
                                                dims._digit_zero(k, d), ell + 1)
                         heap = max_pseudocube_core(project(h, coords), ell + 1).core
                         assert self.bits(mask) == self.cells(heap.patterns, k), (h, coords, ell)
@@ -236,7 +235,8 @@ class TestCubeKernel:
 
 class TestLabelWalk:
     """The label-mask walk that builds the cube mask of every set the
-    kernels test, against ``_cube_mask``, which builds it from the columns."""
+    kernels test, against ``oracles.cube_mask``, which reads it off the
+    patterns."""
 
     @staticmethod
     def corpus(seed0):
@@ -265,10 +265,10 @@ class TestLabelWalk:
             seen.append((current[0], cells))
             return core(cells, k, zero, m)
 
-        def factor_cells(cells, k, low, ell1, j=0):
+        def factor_cells(cells, k, zero, ell1, j=0):
             if j == 0:
                 seen.append((current[0], cells))
-            return factors(cells, k, low, ell1, j)
+            return factors(cells, k, zero, ell1, j)
 
         monkeypatch.setattr(dims, "_search", recording)
         monkeypatch.setattr(dims, "_cube_core", core_cells)
@@ -284,7 +284,7 @@ class TestLabelWalk:
                     seen.clear()
                     dimension(h, ell)
                     for coords, cells in seen:
-                        assert cells == dims._cube_mask(h.columns, coords, h.k), (h, ell, coords)
+                        assert cells == cube_mask(h, coords), (h, ell, coords)
                         tested += 1
         assert tested > 1000
 
@@ -298,7 +298,7 @@ class TestLabelWalk:
             rng.shuffle(sets)
             walk = dims._label_walk(h.label_masks, h.k, len(h))
             for coords in sets + sets[::-1]:
-                assert walk(coords) == dims._cube_mask(h.columns, coords, h.k), (h, coords)
+                assert walk(coords) == cube_mask(h, coords), (h, coords)
 
     def test_values_and_witnesses_match_the_oracles(self):
         """Classes whose witness size and the size above it both go to the
@@ -394,10 +394,10 @@ class TestNatarajanKernel:
         sizes = []
         kernel = dims._cube_mask_factors
 
-        def recording(cells, k, low, ell1, j=0):
+        def recording(cells, k, zero, ell1, j=0):
             if j == 0:
-                sizes.append(len(low))
-            return kernel(cells, k, low, ell1, j)
+                sizes.append(len(zero))
+            return kernel(cells, k, zero, ell1, j)
 
         monkeypatch.setattr(dims, "_cube_mask_factors", recording)
         return sizes
@@ -418,7 +418,7 @@ class TestNatarajanKernel:
 
     def test_a_disagreeing_kernel_raises(self, monkeypatch):
         monkeypatch.setattr(dims, "_cube_mask_factors",
-                            lambda cells, k, low, ell1, j=0: (frozenset({0, 1}),) * len(low))
+                            lambda cells, k, zero, ell1, j=0: (frozenset({0, 1}),) * len(zero))
         with pytest.raises(RuntimeError, match="disagree"):
             natarajan_dimension(PAPER_CYCLE, 1)
 
