@@ -58,6 +58,7 @@ import warnings
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import combinations, product
+from operator import mul
 from typing import Iterable
 
 from .classes import CapExceeded, Coords, HypothesisClass, Pattern, lines, project
@@ -346,8 +347,9 @@ def _closed_dimension(h: HypothesisClass, ell: int, kernel, set_path) -> Dimensi
         return res
     found = seen = set_path(h, res.witness, ell)
     if found is not None and isinstance(res.witness_structure, int):
-        # the core's patterns are distinct cells, so their sum is their union
-        seen = sum(1 << sum(v * k ** j for j, v in enumerate(p)) for p in found.patterns)
+        # bit sum_j p_j k^j per core pattern; distinct cells, so the sum is the union
+        weights = [k ** j for j in range(res.value)]
+        seen = sum([1 << sum(map(mul, p, weights)) for p in found.patterns])
     if seen != res.witness_structure:
         raise RuntimeError(f"the set path and the cube-mask kernel disagree on the "
                            f"projection onto {res.witness}")
