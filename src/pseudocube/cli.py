@@ -18,6 +18,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 from . import __version__
@@ -36,11 +37,12 @@ from .polycert import (PeelingError, VerifyReport, construct_q, load_certificate
                        serialize_certificate, spanning_certificate,
                        verify_certificate)
 from .listlearn import (ExperimentConfig, loo_experiment, make_task,
-                        pac_learn, uc_experiment)
+                        pac_learn, pac_sample_plan, uc_experiment)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
+_LEARN_M = 100  # the default sample size of learn loo and learn uc
 
 # (command, action) pairs that print text only, although their subcommand
 # takes --format
@@ -217,8 +219,15 @@ def _cmd_learn(args, out) -> int:
     h = _read_class(args.input)
     weights = [float(w) for w in args.weights.split(",")] if args.weights else None
     task = make_task(h, args.target_index, weights=weights)
-    cfg = ExperimentConfig(epsilon=args.epsilon, delta=args.delta, m=args.m,
+    cfg = ExperimentConfig(epsilon=args.epsilon, delta=args.delta,
+                           m=_LEARN_M if args.m is None else args.m,
                            trials=args.trials, seed=args.seed, ell=args.ell)
+    if args.m is None and args.action == "pac":
+        # the smallest sample the learner can partition: the provider keeps
+        # every drawn label, and no list is wider than k
+        p, chunk, val = pac_sample_plan(task, cfg, task.k)
+        cfg = replace(cfg, m=p * chunk + val)
+    args.m = cfg.m
     if args.action == "loo":
         rep = loo_experiment(task, cfg, provider_kind=args.provider,
                              keep_trials=args.verbose, jobs=args.jobs)
@@ -456,7 +465,7 @@ def _learn_arguments(p) -> None:
                    default="full-alphabet")
     p.add_argument("--epsilon", type=float, default=0.1)
     p.add_argument("--delta", type=float, default=0.05)
-    p.add_argument("--m", type=int, default=100)
+    p.add_argument("--m", type=int)
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=_int_at_least(1), default=1)

@@ -18,7 +18,9 @@ Two certificate styles are produced:
 * ``construct_q`` replays the inductive argument: peel a pattern with a
   deficient direction, interpolate its off-direction indicator on the
   projection recursively, multiply the single-variable correction factor,
-  and collect polynomials whose evaluation matrix is unit triangular.  It
+  and collect polynomials whose evaluation matrix is unit triangular.  A
+  projection with n - 1 <= d is a base case: its off-direction indicator is
+  the interpolation indicator of the target itself, taken directly.  It
   raises unless the result passes ``verify_certificate``, the one check of
   a certificate: size bound, peel steps, basis support, triangularity.
 
@@ -29,6 +31,17 @@ verifier re-scans neighbours on its own, so it shares neither.  It checks
 basis support with ``_in_basis``, which reads the definition of the
 bounded-high set, so neither replay nor verifier enumerates the basis; only
 ``spanning_certificate`` builds it, through ``monomial_set``.
+
+Polynomials are evaluated by one kernel: the values of a monomial x^e at a
+sequence of points are a product of per-coordinate power columns
+(``_MonomialColumns``).  The span rank reads its rows from it.  The verifier
+builds one table of monomial columns at the ordering per call and checks
+integer numerators, a sum of c * column over the terms, against the
+denominator; it builds a ``Fraction`` only for a failure message.  Back
+substitution in the replay reads the column of a poly above the diagonal
+from the same table, computed whole on its first read.
+``RationalPolynomial.evaluate`` is the single-point form, kept as a public
+method and as the tests' oracle.
 
 Every reported value is exact.  A minor of an integer matrix that is nonzero
 mod p is nonzero over Z, so the rank over GF(p) never exceeds the rank over Q;
@@ -56,8 +69,9 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import repeat
 from operator import mul
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .classes import (CapExceeded, DEFAULT_ENUMERATION_CAP, HypothesisClass,
                       Pattern, lines, parse_class_json, serialize_class_json)
@@ -89,9 +103,9 @@ def monomial_set(n: int, k: int, ell: int, d: int) -> tuple[Pattern, ...]:
 
 
 def _in_basis(exp: Pattern, n: int, k: int, ell: int, d: int) -> bool:
-    """Whether ``exp`` is in the monomial basis: n exponents in [0, k), at
-    most d of them >= ell."""
-    return (len(exp) == n and all(0 <= e < k for e in exp)
+    """Whether ``exp`` is in the monomial basis: n integer exponents in
+    [0, k), at most d of them >= ell."""
+    return (len(exp) == n and all(isinstance(e, int) and 0 <= e < k for e in exp)
             and sum(e >= ell for e in exp) <= d)
 
 
@@ -169,6 +183,44 @@ def indicator_poly(h: Pattern, k: int) -> RationalPolynomial:
 # ---------------------------------------------------------------------------
 # Spanning certificate (rank of the monomial evaluation matrix)
 # ---------------------------------------------------------------------------
+
+class _MonomialColumns(dict):
+    """``self[exp][j]`` is the value of x^exp at ``points[j]``, built on
+    first use as a product of per-coordinate power columns, which are built
+    once each.  The one evaluation kernel.  The entry is None when a factor
+    has no integer value: a negative or non-integer exponent, or a nonzero
+    one past coordinate n - 1.  Only a term outside the basis has one."""
+
+    def __init__(self, points: Sequence[Pattern], n: int):
+        super().__init__()
+        self.points, self.n, self.powers = points, n, {}
+
+    def __missing__(self, exp: Pattern) -> Optional[list[int]]:
+        column = [1] * len(self.points)
+        for i, e in enumerate(exp):
+            if not e:
+                continue
+            if not (isinstance(e, int) and e > 0 and i < self.n):
+                column = None
+                break
+            power = self.powers.get((i, e))
+            if power is None:
+                power = self.powers[i, e] = [p[i] ** e for p in self.points]
+            column = list(map(mul, column, power))
+        self[exp] = column
+        return column
+
+    def numerators(self, poly: RationalPolynomial, lo: int, hi: int) -> Optional[list[int]]:
+        """The values of ``poly`` times ``poly.den`` at points[lo:hi], or None
+        if one of its terms has no value there."""
+        columns = [self[exp] for exp, _ in poly.terms]
+        if None in columns:
+            return None
+        if not columns:
+            return [0] * (hi - lo)
+        return list(map(sum, zip(*(map(mul, column[lo:hi], repeat(c))
+                                   for column, (_, c) in zip(columns, poly.terms)))))
+
 
 @dataclass(frozen=True)
 class SpanReport:
@@ -342,18 +394,13 @@ def spanning_certificate(h: HypothesisClass, ell: int, d: int,
     exponents = monomial_set(h.n, h.k, ell, d)
     standard = set(lex_standard_monomials(h))
     pats = h.sorted_patterns()
-    # powers[i][e][j] is the i-th coordinate of pattern j to the e-th power
-    powers = [[[p[i] ** e for p in pats] for e in range(h.k)] for i in range(h.n)]
+    columns = _MonomialColumns(pats, h.n)
 
     def rows():
         # built on demand: the rank mod p stops reading at |H|, which the
         # standard rows reach alone when all of them lie in the basis
         for exp in sorted(exponents, key=lambda e: e not in standard):
-            row = [1] * len(pats)
-            for i, e in enumerate(exp):
-                if e:
-                    row = list(map(mul, row, powers[i][e]))
-            yield row
+            yield columns[exp]
 
     rank = exact_rank(rows())
     return SpanReport(rank=rank, spans=rank == len(pats),
@@ -431,7 +478,12 @@ def construct_q(h: HypothesisClass, ell: int, d: int) -> Certificate:
         raise ValueError(f"need 0 <= d <= n, got d={d}, n={h.n}")
     if not (1 <= ell <= h.k):
         raise ValueError(f"need 1 <= ell <= k, got ell={ell}, k={h.k}")
-    ordering, witnesses, polys, _ = _construct(h, ell, d, {}, {})
+    if h.n <= d:
+        ordering = tuple(h.sorted_patterns())
+        witnesses = (None,) * len(ordering)
+        polys = tuple(indicator_poly(p, h.k) for p in ordering)
+    else:
+        ordering, witnesses, polys, _ = _construct(h, ell, d, {}, {})
     cert = Certificate(n=h.n, k=h.k, ell=ell, d=d, ordering=ordering,
                        witnesses=witnesses, q_polys=polys)
     report = verify_certificate(cert, h)
@@ -442,77 +494,71 @@ def construct_q(h: HypothesisClass, ell: int, d: int) -> Certificate:
 
 def _construct(h: HypothesisClass, ell: int, d: int, memo: dict,
                indicators: dict[Pattern, RationalPolynomial]):
-    """Returns (ordering, witnesses, polys, entries) with entries[t, s] the
-    value of poly s at pattern t, evaluated when ``_indicator_on_class`` first reads
-    it (the base-case indicators are the unit matrix, so those read 0);
-    memoized per class so repeated projections are certified once, and the
-    base-case indicators per pattern."""
+    """The peel of ``h``, which needs n > d, and its basis polynomials:
+    returns (ordering, witnesses, polys, entries), with ``entries`` the
+    ``_LazyValues`` of the polys.  Memoized per class, so repeated
+    projections are certified once, and ``indicators`` holds the
+    interpolation indicators per pattern."""
     key = (h.n, h.k, ell, d, h.patterns)
     hit = memo.get(key)
     if hit is not None:
         return hit
-    if h.n <= d:
-        ordering = tuple(h.sorted_patterns())
-        for p in ordering:
-            if p not in indicators:
-                indicators[p] = indicator_poly(p, h.k)
-        polys = tuple(indicators[p] for p in ordering)
-        result = (ordering, (None,) * len(ordering), polys, defaultdict(int))
-        memo[key] = result
-        return result
     ordering, witnesses = _peel(h, ell)
     polys: list[RationalPolynomial] = []
     for t, (p, (i, values)) in enumerate(zip(ordering, witnesses)):
-        if h.n == 1:
-            # the projection off the only coordinate is zero-dimensional, so
-            # the off-direction indicator degenerates to the constant 1
-            base = RationalPolynomial(n=0, terms=(((), 1),), den=1)
+        target = p[:i] + p[i + 1:]
+        if h.n - 1 <= d:
+            # the projection is a base case: its basis polynomials are the
+            # interpolation indicators, whose evaluation matrix is the
+            # identity, so the indicator of the target is its own
+            base = indicators.get(target)
+            if base is None:
+                base = indicators[target] = indicator_poly(target, h.k)
         else:
             proj = HypothesisClass(h.n - 1, h.k,
                                    frozenset(q[:i] + q[i + 1:] for q in ordering[t:]))
             sub_order, _, sub_polys, sub_entries = _construct(proj, ell, d, memo, indicators)
-            target = p[:i] + p[i + 1:]
             base = _indicator_on_class(sub_order, sub_polys, sub_entries, target)
         factor, scale = _lagrange_coeffs(p[i], values)
         polys.append(RationalPolynomial._over(h.n, _poly_mul_univariate(base.terms, i, factor),
                                               base.den * scale))
     polys = tuple(polys)
-    result = (ordering, witnesses, polys, _LazyValues(ordering, polys))
+    result = (ordering, witnesses, polys, _LazyValues(ordering, polys, h.n))
     memo[key] = result
     return result
 
 
 class _LazyValues(dict):
-    """entries[t, s] = polys[s].evaluate(ordering[t]), each evaluated once, on
-    its first read."""
+    """``entries[s][t]`` is the value of polys[s] at ordering[t] for t < s:
+    the column of poly s above the diagonal, computed whole on its first
+    read from one monomial-column table of the ordering."""
 
     def __init__(self, ordering: tuple[Pattern, ...],
-                 polys: tuple[RationalPolynomial, ...]):
+                 polys: tuple[RationalPolynomial, ...], n: int):
         super().__init__()
-        self.ordering, self.polys = ordering, polys
+        self.polys, self.columns = polys, _MonomialColumns(ordering, n)
 
-    def __missing__(self, key: tuple[int, int]) -> Fraction:
-        t, s = key
-        value = self[key] = self.polys[s].evaluate(self.ordering[t])
-        return value
+    def __missing__(self, s: int) -> list[Fraction]:
+        q = self.polys[s]
+        column = self[s] = [Fraction(v, q.den) for v in self.columns.numerators(q, 0, s)]
+        return column
 
 
 def _indicator_on_class(ordering: tuple[Pattern, ...],
                         polys: tuple[RationalPolynomial, ...],
-                        entries: dict[tuple[int, int], Fraction],
-                        target: Pattern) -> RationalPolynomial:
+                        entries: _LazyValues, target: Pattern) -> RationalPolynomial:
     """Combine basis polynomials into the indicator of ``target`` on the
     class they certify, via back substitution against the unit-triangular
     evaluation matrix, with numerators over the lcm of the denominators.
-    It reads ``entries[t, s]`` only above the diagonal, and only where the
-    coefficient of poly s is nonzero."""
+    It reads ``entries[s]`` only where the coefficient of poly s is
+    nonzero."""
     size = len(ordering)
     coeff: list[Fraction] = [0] * size
     for t in range(size - 1, -1, -1):
         acc = int(ordering[t] == target)
         for s in range(t + 1, size):
             if coeff[s]:
-                acc -= entries[t, s] * coeff[s]
+                acc -= entries[s][t] * coeff[s]
         coeff[t] = acc
     used = [(c, q) for c, q in zip(coeff, polys) if c]
     den = math.lcm(*(c.denominator * q.den for c, q in used))
@@ -542,8 +588,9 @@ def serialize_certificate(cert: Certificate, h: HypothesisClass) -> str:
                       for w in cert.witnesses],
     }
     if cert.q_polys is not None:
-        obj["q_polys"] = [[[list(exp), f.numerator, f.denominator]
-                           for exp, c in q.terms for f in (Fraction(c, q.den),)]
+        # each term in lowest terms: den > 0, so this is the Fraction's form
+        obj["q_polys"] = [[[list(exp), c // g, q.den // g]
+                           for exp, c in q.terms for g in (math.gcd(c, q.den),)]
                           for q in cert.q_polys]
     return json.dumps(obj, separators=(",", ":")) + "\n"
 
@@ -624,8 +671,9 @@ def verify_certificate(cert: Certificate, h: HypothesisClass) -> VerifyReport:
     present) that every term lies in the bounded-high basis and that poly s
     is exactly 1 at pattern s and 0 at every later pattern t, so the
     evaluation matrix is unit triangular.  Only these entries (t >= s) are
-    evaluated.  This is the one certificate check; ``construct_q`` runs it on
-    what it replays.
+    computed, as integer numerators over the poly's denominator from one
+    table of monomial columns at the ordering.  This is the one certificate
+    check; ``construct_q`` runs it on what it replays.
 
     Only the polynomials prove the size bound.  A peeling order alone shows
     only that no (ell+1)-pseudo-cube spans all n coordinates.
@@ -656,17 +704,42 @@ def verify_certificate(cert: Certificate, h: HypothesisClass) -> VerifyReport:
     if cert.q_polys is not None:
         if len(cert.q_polys) != len(cert.ordering):
             failures.append("polynomial count differs from ordering length")
+        in_basis: dict[Pattern, bool] = {}
         for s, q in enumerate(cert.q_polys):
             for exp, _ in q.terms:
-                if not _in_basis(exp, h.n, h.k, cert.ell, cert.d):
+                inside = in_basis.get(exp)
+                if inside is None:
+                    inside = in_basis[exp] = _in_basis(exp, h.n, h.k, cert.ell, cert.d)
+                if not inside:
                     failures.append(f"poly {s}: monomial {exp} outside the basis")
                     break
-        for t, p in enumerate(cert.ordering):
-            for s, q in enumerate(cert.q_polys[:t + 1]):
-                value = q.evaluate(p)
-                if t == s and value != 1:
-                    failures.append(f"diagonal ({t},{s}) is {value}, expected 1")
-                if t > s and value != 0:
-                    failures.append(f"entry ({t},{s}) is {value}, expected 0")
+        failures.extend(_triangle_failures(cert.ordering, cert.q_polys, h.n))
     return VerifyReport(ok=not failures, failures=tuple(failures))
 
+
+def _triangle_failures(ordering: tuple[Pattern, ...],
+                       polys: tuple[RationalPolynomial, ...], n: int) -> list[str]:
+    """The entries (t, s), t >= s, where poly s is not 1 on the diagonal or
+    not 0 below it, in the order of t and then s.  Poly s passes when its
+    numerators at ordering[s:] are its den and then zeros; only a failing
+    poly's entries are walked, and a ``Fraction`` is built only for a
+    message.  A poly with a term that has no value at the patterns, which
+    lies outside the basis, has no entries to report."""
+    size = len(ordering)
+    columns = _MonomialColumns(ordering, n)
+    failing = []
+    for s, q in enumerate(polys[:size]):
+        values = columns.numerators(q, s, size)
+        if values is not None and (values[0] != q.den or not q.den or any(values[1:])):
+            failing.append((s, q.den, values))
+    failures = []
+    for t in range(size):
+        for s, den, values in failing:
+            if s > t:
+                break
+            v = values[t - s]
+            if (v != den or not den) if t == s else v:
+                value = Fraction(v, den) if den else f"{v}/0"
+                failures.append(f"diagonal ({t},{s}) is {value}, expected 1" if t == s
+                                else f"entry ({t},{s}) is {value}, expected 0")
+    return failures

@@ -349,3 +349,28 @@ def poly_from_dict(n: int, terms: dict) -> RationalPolynomial:
     den = math.lcm(*(c.denominator for c in terms.values()))
     return RationalPolynomial._over(n, ((e, c.numerator * den // c.denominator)
                                         for e, c in terms.items()), den)
+
+
+def polynomial_failures(cert, h: HypothesisClass) -> tuple[str, ...]:
+    """The polynomial part of a ``verify_certificate`` report by the
+    verifier's original loops: the count check, each poly's first term
+    outside the basis read off its definition, then one
+    ``RationalPolynomial.evaluate`` per entry (t, s) with s <= t, in the
+    order of t and then s."""
+    failures = []
+    if len(cert.q_polys) != len(cert.ordering):
+        failures.append("polynomial count differs from ordering length")
+    for s, q in enumerate(cert.q_polys):
+        for exp, _ in q.terms:
+            if not (len(exp) == h.n and all(0 <= e < h.k for e in exp)
+                    and sum(e >= cert.ell for e in exp) <= cert.d):
+                failures.append(f"poly {s}: monomial {exp} outside the basis")
+                break
+    for t, p in enumerate(cert.ordering):
+        for s, q in enumerate(cert.q_polys[:t + 1]):
+            value = q.evaluate(p)
+            if t == s and value != 1:
+                failures.append(f"diagonal ({t},{s}) is {value}, expected 1")
+            if t > s and value != 0:
+                failures.append(f"entry ({t},{s}) is {value}, expected 0")
+    return tuple(failures)

@@ -99,7 +99,9 @@ class TestVerifySauer:
             verify_sauer(extremal_class(2, 3, 1, 1), 1, claimed_d=2)
 
     def test_nat_bound_dominates_ds_bound_at_same_d(self):
-        # C(k, ell+1) >= k - ell makes the DS-style bound the sharper one
+        # only at ell=1, the corpus's: the terms are C(n,i) (k-1)^i against
+        # C(n,i) C(k,2)^i.  At ell >= 2 the Natarajan value can be the
+        # smaller one: n=2, k=4, ell=3, d=1 gives 9 against 15
         for h in random_corpus(20, 3, 3, 0.5, seed0=500):
             rep = verify_sauer(h, 1)
             assert rep.ds_bound <= rep.nat_bound

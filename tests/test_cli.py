@@ -289,6 +289,23 @@ class TestLearn:
         share = Fraction(json.loads(out)["result"]["forced_share"])
         assert share == Fraction(rep.forced_trials, 200) and 0 < share < 1
 
+    def test_pac_default_m_is_the_sample_plan(self, capsys, tmp_path):
+        path = tmp_path / "C.cls"
+        from pseudocube import ExperimentConfig, extremal_class, make_task, serialize_class
+        from pseudocube.listlearn import pac_sample_plan
+        h = extremal_class(4, 3, 1, 1)
+        path.write_text(serialize_class(h))
+        p, chunk, val = pac_sample_plan(make_task(h, 0), ExperimentConfig(), h.k)
+        assert p * chunk + val == 8215
+        code, out = run(capsys, ["learn", "pac", "--input", str(path)])
+        header, columns, row = out.splitlines()
+        assert code == 0 and " m=8215 " in header
+        assert columns == "epsilon,delta,m,test_error,population_error,chosen,pass"
+        assert row.startswith("0.1,0.05,8215,") and row.endswith(",True")
+        code, out = run(capsys, ["learn", "loo", "--input", str(path), "--trials", "5",
+                                 "--format", "json"])
+        assert code == 0 and json.loads(out)["config"]["m"] == 100
+
     def test_identical_invocations_byte_identical(self, capsys, tmp_path):
         path = tmp_path / "C.cls"
         from pseudocube import extremal_class, serialize_class

@@ -20,7 +20,7 @@ from pseudocube.polycert import (MODULUS, VerifyReport, exact_rank, rank_bareiss
 
 from conftest import all_classes, random_corpus
 from oracles import (fraction_evaluate, lex_standard_monomials, poly_from_dict,
-                     rank_fraction_pivot)
+                     polynomial_failures, rank_fraction_pivot)
 
 THREE = HypothesisClass.from_patterns(2, 2, [(0, 0), (0, 1), (1, 0)])
 
@@ -440,15 +440,27 @@ class TestConstructQ:
     def test_verify_evaluates_only_the_checked_entries(self, monkeypatch):
         h = extremal_class(3, 3, 2, 1)
         cert, loaded = load_certificate(serialize_certificate(construct_q(h, 2, 1), h))
-        evaluate, calls = RationalPolynomial.evaluate, []
+        numerators, calls = polycert._MonomialColumns.numerators, []
 
-        def counting(self, point):
-            calls.append(point)
-            return evaluate(self, point)
+        def recording(self, poly, lo, hi):
+            calls.append((poly, lo, hi))
+            return numerators(self, poly, lo, hi)
 
-        monkeypatch.setattr(RationalPolynomial, "evaluate", counting)
+        monkeypatch.setattr(polycert._MonomialColumns, "numerators", recording)
         assert verify_certificate(cert, loaded).ok
-        assert len(calls) == len(h) * (len(h) + 1) // 2
+        # poly s is computed at patterns s..|H|-1 only: on and below the diagonal
+        assert calls == [(q, s, len(h)) for s, q in enumerate(cert.q_polys)]
+        assert sum(hi - lo for _, lo, hi in calls) == len(h) * (len(h) + 1) // 2
+
+    def test_lazy_values_equal_evaluate(self):
+        """The columns above the diagonal that back substitution reads, on a
+        replay whose projections are peeled again (n - d = 2)."""
+        h, memo = extremal_class(5, 3, 1, 3), {}
+        polycert._construct(h, 1, 3, memo, {})
+        assert {key[0] for key in memo} == {4, 5}
+        for ordering, _, polys, entries in memo.values():
+            for s, q in enumerate(polys):
+                assert entries[s] == [q.evaluate(p) for p in ordering[:s]]
 
     def test_base_case_indicators(self):
         h = make(2, 3, [(0, 1), (2, 2), (1, 0)])
@@ -494,8 +506,10 @@ class TestConstructQ:
     def test_verify_rejects_each_monomial_outside_the_basis(self):
         cert = construct_q(THREE, 1, 1)
         assert verify_certificate(cert, THREE).ok
-        # two high exponents at d=1, an exponent equal to k, the wrong length
-        for exp in ((1, 1), (2, 0), (0,), (0, 0, 0)):
+        # two high exponents at d=1, an exponent equal to k, the wrong length,
+        # a variable past the last coordinate, a negative exponent, a
+        # non-integer exponent
+        for exp in ((1, 1), (2, 0), (0,), (0, 0, 0), (0, 0, 1), (0, -1), (0.5, 0)):
             bad = poly_from_dict(2, {exp: Fraction(1)})
             rep = verify_certificate(replace(cert, q_polys=(bad,) + cert.q_polys[1:]), THREE)
             assert "poly 0: monomial" in rep.failures[0] and "outside the basis" in rep.failures[0]
@@ -595,6 +609,33 @@ class TestCertificateFuzz:
         except ValueError:
             return
         assert isinstance(verify_certificate(cert, h), VerifyReport)
+
+    @settings(max_examples=200, deadline=None)
+    @given(mutated_certificates())
+    def test_polynomial_checks_match_the_evaluate_oracle(self, text):
+        try:
+            cert, h = load_certificate(text)
+        except ValueError:
+            return
+        if cert.q_polys is not None:
+            rest = verify_certificate(replace(cert, q_polys=None), h).failures
+            assert verify_certificate(cert, h).failures == rest + polynomial_failures(cert, h)
+
+    def test_each_shifted_numerator_matches_the_evaluate_oracle(self):
+        # a poly's values before its own pattern are free, so an edit of a
+        # term that vanishes from there on still gives a valid certificate
+        rejected = 0
+        for obj in BASES:
+            for s, terms in enumerate(obj.get("q_polys", ())):
+                for j in range(len(terms)):
+                    for shift in (-1, 1):
+                        edited = copy.deepcopy(obj)
+                        edited["q_polys"][s][j][1] += shift
+                        cert, h = load_certificate(json.dumps(edited))
+                        report = verify_certificate(cert, h)
+                        assert report.failures == polynomial_failures(cert, h)
+                        rejected += not report.ok
+        assert rejected >= 60
 
     def test_bases_verify(self):
         for obj in BASES:
