@@ -57,6 +57,16 @@ class HypothesisClass:
             raise ValueError(f"n must be >= 1, got {self.n}")
         if self.k < 2:
             raise ValueError(f"k must be >= 2, got {self.k}")
+        # accept in bulk when every length is n and every distinct label an
+        # int in [0, k); anything else, an exception included, takes the loop,
+        # which names the first offending pattern
+        try:
+            labels = set().union(*self.patterns)
+            if (set(map(len, self.patterns)) <= {self.n} and set(map(type, labels)) <= {int}
+                    and min(labels, default=0) >= 0 and max(labels, default=0) < self.k):
+                return
+        except Exception:
+            pass
         for p in self.patterns:
             if len(p) != self.n:
                 raise ValueError(f"pattern {p} has length {len(p)}, expected {self.n}")
@@ -139,7 +149,7 @@ def project(hc: HypothesisClass, coords: Iterable[int]) -> HypothesisClass:
     The result has n = len(coords) and the same alphabet.
     """
     s = validate_coords(coords, hc.n)
-    return HypothesisClass(len(s), hc.k, frozenset(tuple(p[i] for i in s) for p in hc.patterns))
+    return HypothesisClass(len(s), hc.k, frozenset(zip(*[hc.columns[i] for i in s])))
 
 
 def random_class(n: int, k: int, density: float, seed: int,
@@ -246,6 +256,12 @@ def parse_class_json(text: str | bytes) -> HypothesisClass:
         raise ClassFormatError(exc.lineno, f"invalid JSON: {exc.msg}") from None
     except RecursionError:
         raise ClassFormatError(1, "invalid JSON: nested too deeply") from None
+    return _class_from_json(obj)
+
+
+def _class_from_json(obj) -> HypothesisClass:
+    """The class of a decoded JSON object, checked as ``parse_class_json``
+    checks it; a certificate's embedded class is decoded by the same call."""
     if not isinstance(obj, dict):
         raise ClassFormatError(1, "expected a JSON object")
     for field in ("n", "k", "patterns"):

@@ -7,9 +7,13 @@ written by ``_report``, which alone decides between the ``# tool=pseudocube``
 header line followed by the report's lines and, under --format json, one JSON
 envelope; only class and certificate files (``gen``, ``oig shift`` and
 ``fixpoint``, ``cert replay`` without --output) are written without one.  The
-parser adds the arguments of the invoked subcommand only.  Exit status: 0 on
-success, 1 when a verified inequality fails (an implementation bug, so it is
-reported loudly), 2 on usage or input errors.
+parser adds the arguments of the invoked subcommand only.  Importing this
+module loads ``classes``, ``dims`` and ``bounds``, which ``dim``, ``bound``,
+``gen``, ``sweep`` and ``verify`` use on every run; ``oig``, ``polycert``,
+``listlearn`` and ``fractions`` are imported inside the functions of the
+subcommands that use them, so a run pays for no module it never calls.  Exit
+status: 0 on success, 1 when a verified inequality fails (an implementation
+bug, so it is reported loudly), 2 on usage or input errors.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ import json
 import math
 import sys
 from dataclasses import replace
-from fractions import Fraction
 
 from . import __version__
 from .classes import (CapExceeded, ClassFormatError, DEFAULT_ENUMERATION_CAP,
@@ -30,14 +33,6 @@ from .dims import (GRAPH_DIM_BUDGET, ListClass, ds_dimension, exponential_dimens
                    graph_dimension, max_pseudocube_core, natarajan_dimension)
 from .bounds import (BoundViolation, appendix_check, ds_sauer_bound, extremal_class,
                      natarajan_sauer_bound, turan_reference, verify_sauer)
-from .oig import (DENSITY_BRUTEFORCE_CAP, build_oig, degree_stats, format_orientation,
-                  is_downward_closed, max_density_bruteforce, orient_minmax,
-                  outdegrees, shift, shift_fixed_point)
-from .polycert import (PeelingError, VerifyReport, construct_q, load_certificate,
-                       serialize_certificate, spanning_certificate,
-                       verify_certificate)
-from .listlearn import (ExperimentConfig, loo_experiment, make_task,
-                        pac_learn, pac_sample_plan, uc_experiment)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -145,6 +140,9 @@ def _cmd_gen(args, out) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_oig(args, out) -> int:
+    from .oig import (build_oig, degree_stats, format_orientation, is_downward_closed,
+                      max_density_bruteforce, orient_minmax, outdegrees, shift,
+                      shift_fixed_point)
     h = _read_class(args.input)
     if args.action == "stats":
         g = build_oig(h)
@@ -179,6 +177,9 @@ def _cmd_oig(args, out) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_cert(args, out) -> int:
+    from .polycert import (PeelingError, VerifyReport, construct_q, load_certificate,
+                           serialize_certificate, spanning_certificate,
+                           verify_certificate)
     if args.action == "verify":
         if args.cert is None:
             raise ValueError("cert verify needs --cert")
@@ -200,7 +201,11 @@ def _cmd_cert(args, out) -> int:
         _report(args, out, None, f"rank={rep.rank} class_size={rep.class_size} "
                                  f"monomials={rep.monomial_count} spans={rep.spans}")
         return EXIT_OK if rep.spans else EXIT_VERIFY_FAILED
-    cert = construct_q(h, args.ell, d)
+    try:
+        cert = construct_q(h, args.ell, d)
+    except PeelingError as exc:
+        # a --d below the DS dimension: main reports it as a usage error
+        raise ValueError(str(exc)) from None
     text = serialize_certificate(cert, h)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -216,6 +221,9 @@ def _cmd_cert(args, out) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_learn(args, out) -> int:
+    from fractions import Fraction
+    from .listlearn import (ExperimentConfig, loo_experiment, make_task, pac_learn,
+                            pac_sample_plan, uc_experiment)
     h = _read_class(args.input)
     weights = [float(w) for w in args.weights.split(",")] if args.weights else None
     task = make_task(h, args.target_index, weights=weights)
@@ -321,6 +329,7 @@ def _sauer_checks(key, h, ell):
 
 
 def _shiftlaws_checks(seed, h, ell):
+    from .oig import build_oig, degree_stats, is_downward_closed, shift, shift_fixed_point
     # one check per class, at an ell and a direction the seed picks
     j = 1 + seed % (h.k - 1)
     shifted, fixed = shift(h, seed % h.n), shift_fixed_point(h)
@@ -438,6 +447,7 @@ def _gen_arguments(p) -> None:
 
 
 def _oig_arguments(p) -> None:
+    from .oig import DENSITY_BRUTEFORCE_CAP
     p.add_argument("action", choices=("stats", "shift", "fixpoint", "orient", "density"))
     _common(p)
     p.add_argument("--dir", type=int, default=0)
@@ -541,7 +551,7 @@ def main(argv=None) -> int:
     except BoundViolation as exc:
         print(f"VERIFICATION FAILURE: {exc}", file=sys.stderr)
         return EXIT_VERIFY_FAILED
-    except (ClassFormatError, CapExceeded, OSError, PeelingError, ValueError) as exc:
+    except (ClassFormatError, CapExceeded, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -74,7 +74,7 @@ from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .classes import (CapExceeded, DEFAULT_ENUMERATION_CAP, HypothesisClass,
-                      Pattern, lines, parse_class_json, serialize_class_json)
+                      Pattern, _class_from_json, lines, serialize_class_json)
 from .bounds import ds_sauer_bound, iter_bounded_high_vectors
 from .dims import ds_dimension, max_pseudocube_core
 
@@ -608,7 +608,7 @@ def load_certificate(text: str) -> tuple[Certificate, HypothesisClass]:
     if not isinstance(obj, dict) or not obj.keys() >= {"class", "ell", "d", "ordering",
                                                        "witnesses"}:
         raise ValueError("certificate needs the fields class, ell, d, ordering, witnesses")
-    h = parse_class_json(json.dumps(obj["class"]))
+    h = _class_from_json(obj["class"])
     if h.is_empty:
         raise ValueError("certificate class is empty")
     pats = h.sorted_patterns()

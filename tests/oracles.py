@@ -27,6 +27,17 @@ from pseudocube.oig import (FlowNetwork, is_downward_closed, min_max_orientation
 from pseudocube.polycert import exact_rank
 
 
+def validate_patterns(n: int, k: int, patterns) -> None:
+    """``HypothesisClass``'s check of its patterns, one pattern and one label
+    at a time: the reference for its bulk acceptance."""
+    for p in patterns:
+        if len(p) != n:
+            raise ValueError(f"pattern {p} has length {len(p)}, expected {n}")
+        for v in p:
+            if not (0 <= v < k):
+                raise ValueError(f"label {v} out of range [0,{k}) in pattern {p}")
+
+
 def is_pseudocube(b: HypothesisClass, m: int) -> bool:
     """True iff every pattern of ``b`` has >= m-1 neighbors in every direction."""
     if b.is_empty:

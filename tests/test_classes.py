@@ -1,3 +1,4 @@
+import math
 import pickle
 import random
 import tracemalloc
@@ -10,6 +11,8 @@ from pseudocube import (CapExceeded, ClassFormatError, HypothesisClass,
                         serialize_class, serialize_class_json)
 from pseudocube.classes import iter_all_classes, lines
 
+from oracles import validate_patterns
+
 
 def make(n, k, pats):
     return HypothesisClass.from_patterns(n, k, pats)
@@ -21,6 +24,8 @@ class TestConstruction:
             make(2, 3, [(0, 0, 0)])
         with pytest.raises(ValueError):
             make(2, 3, [(0, 3)])
+        with pytest.raises(ValueError, match="label nan out of range"):
+            make(2, 3, [(1, math.nan)])
         with pytest.raises(ValueError):
             make(0, 3, [])
         with pytest.raises(ValueError):
@@ -29,6 +34,27 @@ class TestConstruction:
     def test_empty_is_flagged(self):
         h = make(2, 3, [])
         assert h.is_empty and len(h) == 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 3), st.integers(2, 4), st.data())
+    def test_bulk_acceptance_matches_the_pattern_loop(self, n, k, data):
+        # odd labels (bools, floats, strings, out of range) and odd patterns
+        # (wrong length, not a sequence) must meet the accepting or the
+        # raising outcome of the loop, message for message
+        label = (st.integers(-1, k) | st.booleans() | st.sampled_from([0.0, 1.0, 1.5, math.nan, "a"]))
+        pattern = (st.lists(label, min_size=n - 1, max_size=n + 1).map(tuple)
+                   | st.sampled_from(["ab", 5, ()]))
+        patterns = frozenset(data.draw(st.lists(pattern, max_size=6)))
+        try:
+            expected = validate_patterns(n, k, patterns)
+        except (TypeError, ValueError) as exc:
+            expected = (type(exc), str(exc))
+        try:
+            HypothesisClass(n, k, patterns)
+            got = None
+        except (TypeError, ValueError) as exc:
+            got = (type(exc), str(exc))
+        assert got == expected
 
     def test_duplicates_collapse_via_set_semantics(self):
         h = make(1, 2, [(0,), (0,), (1,)])
@@ -215,6 +241,7 @@ def test_projection_composition_and_size(spec, data):
     t_prime = tuple(sorted(data.draw(
         st.sets(st.integers(0, len(s) - 1), min_size=1, max_size=len(s)))))
     assert len(project(h, s)) <= len(h)
+    assert project(h, s).patterns == {tuple(p[i] for i in s) for p in h.patterns}
     composed = project(project(h, s), t_prime)
     direct = project(h, tuple(s[i] for i in t_prime))
     assert composed == direct

@@ -574,14 +574,48 @@ class TestModuleEntryPoint:
         assert proc.returncode == expected
 
 
+class TestFreshProcess:
+    """The subcommands that use ``oig``, ``polycert`` and ``listlearn`` import
+    them inside their own functions.  This process has loaded every module
+    already, so only a new interpreter shows a missing import: each case
+    runs ``python -m pseudocube`` and must exit 0 with the output of ``main``."""
+
+    CASES = [["oig", "stats", "--input", "H"], ["oig", "shift", "--input", "H", "--dir", "1"],
+             ["oig", "fixpoint", "--input", "H"], ["oig", "orient", "--input", "H"],
+             ["oig", "density", "--input", "H"], ["cert", "span", "--input", "H"],
+             ["cert", "replay", "--input", "H"], ["cert", "verify", "--cert", "C"],
+             ["learn", "loo", "--input", "H", "--m", "10", "--trials", "5"],
+             ["learn", "pac", "--input", "H"],
+             ["learn", "uc", "--input", "H", "--m", "10", "--trials", "5"],
+             ["verify", "shiftlaws", "--n", "2", "--k", "3", "--count", "5"]]
+
+    @pytest.mark.parametrize("argv", CASES, ids=[" ".join(argv[:2]) for argv in CASES])
+    def test_subcommand_runs_in_a_fresh_interpreter(self, capsys, tmp_path, three_k3, argv):
+        import subprocess, sys
+        cert = tmp_path / "H3.json"
+        assert main(["cert", "replay", "--input", three_k3, "--output", str(cert)]) == 0
+        argv = [{"H": three_k3, "C": str(cert)}.get(a, a) for a in argv]
+        capsys.readouterr()
+        assert main(argv) == 0
+        expected = capsys.readouterr().out
+        proc = subprocess.run([sys.executable, "-m", "pseudocube"] + argv,
+                              capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == expected
+
+
 def test_importing_the_cli_leaves_multiprocessing_out():
-    """Only ``sweep`` with ``--jobs`` above 1 uses ``multiprocessing``, so a
-    fresh import of the command line, which every run pays, does not load it."""
+    """Only ``sweep`` with ``--jobs`` above 1 uses ``multiprocessing``, and
+    only ``oig``, ``cert``, ``learn`` and ``verify shiftlaws`` use ``oig``,
+    ``polycert``, ``listlearn`` or ``fractions``, so a fresh import of the
+    command line, which every run pays, loads none of them."""
     import subprocess, sys
+    deferred = ["multiprocessing", "pseudocube.oig", "pseudocube.polycert",
+                "pseudocube.listlearn", "fractions"]
     proc = subprocess.run([sys.executable, "-c", "import sys, pseudocube.cli; "
-                           "print('multiprocessing' in sys.modules)"],
+                           f"print([m for m in {deferred!r} if m in sys.modules])"],
                           capture_output=True, text=True, check=True)
-    assert proc.stdout == "False\n"
+    assert proc.stdout == "[]\n"
 
 
 class TestErrors:

@@ -2,6 +2,7 @@ import copy
 import json
 import math
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product
@@ -9,11 +10,12 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pseudocube import (CapExceeded, HypothesisClass, PeelingError, RationalPolynomial,
-                        construct_q, ds_dimension, ds_sauer_bound, extremal_class,
-                        indicator_poly, load_certificate, max_pseudocube_core,
-                        monomial_set, peeling_order, random_class, serialize_certificate,
-                        spanning_certificate, verify_certificate)
+from pseudocube import (CapExceeded, ClassFormatError, HypothesisClass, PeelingError,
+                        RationalPolynomial, construct_q, ds_dimension, ds_sauer_bound,
+                        extremal_class, indicator_poly, load_certificate,
+                        max_pseudocube_core, monomial_set, parse_class_json, peeling_order,
+                        random_class, serialize_certificate, spanning_certificate,
+                        verify_certificate)
 from pseudocube import polycert
 from pseudocube.polycert import (MODULUS, VerifyReport, exact_rank, rank_bareiss,
                                  rank_mod_p)
@@ -620,6 +622,40 @@ class TestCertificateFuzz:
         if cert.q_polys is not None:
             rest = verify_certificate(replace(cert, q_polys=None), h).failures
             assert verify_certificate(cert, h).failures == rest + polynomial_failures(cert, h)
+
+    @settings(max_examples=200, deadline=None)
+    @given(mutated_certificates())
+    def test_embedded_class_is_checked_as_a_class_file(self, text):
+        # the reference: the class file parser on the re-serialised class
+        try:
+            obj = json.loads(text)
+            complete = obj.keys() >= {"class", "ell", "d", "ordering", "witnesses"}
+        except (ValueError, AttributeError):
+            return
+        if not complete:
+            return
+        try:
+            expected = parse_class_json(json.dumps(obj["class"]))
+        except ClassFormatError as exc:
+            expected = str(exc)
+        try:
+            got = load_certificate(text)[1]
+        except ValueError as exc:
+            got = str(exc)
+        if isinstance(expected, str) or isinstance(got, HypothesisClass):
+            assert got == expected
+
+    @pytest.mark.parametrize("cls", [[], {"n": 2, "k": 2}, {"n": True, "k": 2, "patterns": []},
+                                     {"n": 2, "k": 2, "patterns": "x"},
+                                     {"n": 2, "k": 2, "patterns": [[0]]},
+                                     {"n": 2, "k": 2, "patterns": [[0, 2]]},
+                                     {"n": 2, "k": 2, "patterns": [[0, False]]},
+                                     {"n": 2, "k": 2, "patterns": [[0, 0], [0, 0]]}])
+    def test_malformed_embedded_class_reads_as_a_class_file_error(self, cls):
+        with pytest.raises(ClassFormatError) as expected:
+            parse_class_json(json.dumps(cls))
+        with pytest.raises(ClassFormatError, match=f"^{re.escape(str(expected.value))}$"):
+            load_certificate(json.dumps({**BASES[0], "class": cls}))
 
     def test_each_shifted_numerator_matches_the_evaluate_oracle(self):
         # a poly's values before its own pattern are free, so an edit of a
