@@ -16,7 +16,7 @@ import random
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
+from itertools import chain, product
 from typing import Iterable, Iterator, Sequence
 
 Pattern = tuple[int, ...]
@@ -205,12 +205,20 @@ def parse_class(text: str | bytes) -> HypothesisClass:
     following non-comment line holds n whitespace-separated labels; ``#``
     starts a comment.  A leading ``{`` switches to the JSON form.
     Duplicate rows are rejected.
+
+    A file without comments is read in bulk first (``_parse_class_bulk``);
+    anything else, and any file the bulk read does not accept, goes through
+    the line loop, the only code that raises: its ``ClassFormatError`` names
+    the first bad line.
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8")
     stripped = text.lstrip()
     if stripped.startswith("{"):
         return parse_class_json(text)
+    h = _parse_class_bulk(text)
+    if h is not None:
+        return h
     n = k = None
     patterns: set[Pattern] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -247,6 +255,34 @@ def parse_class(text: str | bytes) -> HypothesisClass:
     return HypothesisClass(n, k, frozenset(patterns))
 
 
+def _parse_class_bulk(text: str) -> HypothesisClass | None:
+    """The class of a comment-free class file, or None when the line loop
+    of ``parse_class`` must read it: on a comment, and on anything that
+    loop would reject.  The rows are the loop's fields, each line split
+    once; ``int`` runs once per distinct token, and every check is a
+    C-level pass over all rows."""
+    if "#" in text:
+        return None
+    rows = list(filter(None, map(str.split, text.splitlines())))
+    if not rows or len(rows[0]) != 2:
+        return None
+    (n_field, k_field), body = rows[0], rows[1:]
+    if not (n_field.startswith("n=") and k_field.startswith("k=")):
+        return None
+    try:
+        n, k = int(n_field[2:]), int(k_field[2:])
+        if n < 1 or k < 2 or set(map(len, body)) != {n}:
+            return None
+        labels = {token: int(token) for token in set().union(*body)}
+    except ValueError:
+        return None
+    if min(labels.values()) < 0 or max(labels.values()) >= k:
+        return None
+    # n references to one iterator: zip cuts it into the rows
+    patterns = frozenset(zip(*[map(labels.__getitem__, chain.from_iterable(body))] * n))
+    return HypothesisClass(n, k, patterns) if len(patterns) == len(body) else None
+
+
 def parse_class_json(text: str | bytes) -> HypothesisClass:
     """Parse the structured form: {"n": ..., "k": ..., "patterns": [[...], ...]}.
     Integers are JSON numbers; ``true`` and ``false`` are rejected."""
@@ -273,6 +309,15 @@ def _class_from_json(obj) -> HypothesisClass:
     rows = obj["patterns"]
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise ClassFormatError(1, "field 'patterns' must be a list of lists")
+    # accept in bulk when every row has length n and every label is an int
+    # (not a bool) in [0, k) and no row repeats; else the loop names the
+    # first bad row
+    if (set(map(len, rows)) <= {n} and set(map(type, chain.from_iterable(rows))) <= {int}
+            and min(chain.from_iterable(rows), default=0) >= 0
+            and max(chain.from_iterable(rows), default=0) < k):
+        distinct = frozenset(map(tuple, rows))
+        if len(distinct) == len(rows):
+            return HypothesisClass(n, k, distinct)
     patterns: set[Pattern] = set()
     for row in rows:
         t = tuple(row)

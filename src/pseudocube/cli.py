@@ -6,10 +6,13 @@ invocations (including seeds) produce byte-identical output.  Every report is
 written by ``_report``, which alone decides between the ``# tool=pseudocube``
 header line followed by the report's lines and, under --format json, one JSON
 envelope; only class and certificate files (``gen``, ``oig shift`` and
-``fixpoint``, ``cert replay`` without --output) are written without one.  The
-parser adds the arguments of the invoked subcommand only.  Importing this
-module loads ``classes``, ``dims`` and ``bounds``, which ``dim``, ``bound``,
-``gen``, ``sweep`` and ``verify`` use on every run; ``oig``, ``polycert``,
+``fixpoint``, ``cert replay`` without --output) are written without one.
+Each call builds the parser for its own argv (``_build_parser``): when the
+first word names a subcommand, only that subparser is registered, and
+otherwise all eight are, for the top-level help and errors; the help, usage
+and error text is the same either way.  Importing this module loads
+``classes``, ``dims`` and ``bounds``, which ``dim``, ``bound``, ``gen``,
+``sweep`` and ``verify`` use on every run; ``oig``, ``polycert``,
 ``listlearn`` and ``fractions`` are imported inside the functions of the
 subcommands that use them, so a run pays for no module it never calls.  Exit
 status: 0 on success, 1 when a verified inequality fails (an implementation
@@ -520,28 +523,43 @@ _SUBCOMMANDS = (
 )
 
 
-def _build_parser(command: str | None) -> argparse.ArgumentParser:
-    """The parser with every subcommand and its help string, but the arguments
-    of ``command`` only.  With no subcommand named nothing parses them: the
-    top-level help and the missing-command error list only the names."""
+_NAMES = tuple(name for name, _, _ in _SUBCOMMANDS)
+# every name in braces, as the usage line shows them when all eight subparsers
+# are registered; a parser with one registered shows them through this metavar
+_METAVAR = "{" + ",".join(_NAMES) + "}"
+
+
+def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """The parser for ``argv``, with the arguments of the invoked subcommand
+    only.  Top-level options come before the subcommand, so when ``argv[0]``
+    names one, that subparser is the only one registered and the usage line
+    lists the names through the metavar.  Otherwise every subparser is
+    registered with its help string and no metavar, as the top-level help
+    and the missing- or invalid-command errors print them, and the first
+    word that is not an option gets its arguments if it names a subcommand."""
     parser = argparse.ArgumentParser(
         prog="pseudocube",
         description="Exact dimensions, sharp size bounds, orientations, and "
                     "list-learning experiments for finite multiclass classes.")
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
+    # the top-level options take no value, so the first word that is not an
+    # option names the subcommand
+    command = next((a for a in argv if not a.startswith("-")), None)
+    alone = argv[:1] == [command] and command in _NAMES
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar=_METAVAR if alone else None)
     for name, help_text, add_arguments in _SUBCOMMANDS:
+        if alone and name != command:
+            continue
         p = sub.add_parser(name, help=help_text)
-        if command == name:
+        if name == command:
             add_arguments(p)
     return parser
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # the top-level options take no value, so the first word that is not an
-    # option names the subcommand
-    parser = _build_parser(next((a for a in argv if not a.startswith("-")), None))
+    parser = _build_parser(argv)
     args = parser.parse_args(argv)
     if (args.command, getattr(args, "action", None)) in _TEXT_ONLY and args.format == "json":
         parser.error(f"{args.command} {args.action} prints text only; "

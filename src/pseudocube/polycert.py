@@ -621,7 +621,7 @@ def load_certificate(text: str) -> tuple[Certificate, HypothesisClass]:
             for term in _list(terms):
                 if not (isinstance(term, list) and len(term) == 3 and type(term[1]) is int):
                     raise ValueError(f"term {term!r} is not [exponents, numerator, denominator]")
-                exp = tuple(_int(e, 0, h.k) for e in _list(term[0]))
+                exp = _ints(term[0], 0, h.k)
                 if len(exp) != h.n or exp in parsed:
                     raise ValueError(f"exponent vector {exp} has the wrong length or repeats")
                 parsed[exp] = term[1], _int(term[2], 1)
@@ -631,8 +631,8 @@ def load_certificate(text: str) -> tuple[Certificate, HypothesisClass]:
         q_polys = tuple(q_polys)
     cert = Certificate(n=h.n, k=h.k, ell=_int(obj["ell"], 1, h.k + 1),
                        d=_int(obj["d"], 0, h.n + 1),
-                       ordering=tuple(pats[_int(j, 0, len(pats))]
-                                      for j in _list(obj["ordering"])),
+                       ordering=tuple(map(pats.__getitem__,
+                                          _ints(obj["ordering"], 0, len(pats)))),
                        witnesses=witnesses, q_polys=q_polys)
     return cert, h
 
@@ -640,7 +640,7 @@ def load_certificate(text: str) -> tuple[Certificate, HypothesisClass]:
 def _witness(w, h: HypothesisClass) -> tuple[int, tuple[int, ...]]:
     if not isinstance(w, dict) or w.keys() != {"direction", "values"}:
         raise ValueError(f"witness {w!r} is not null or a direction and values")
-    return _int(w["direction"], 0, h.n), tuple(_int(v, 0, h.k) for v in _list(w["values"]))
+    return _int(w["direction"], 0, h.n), _ints(w["values"], 0, h.k)
 
 
 def _int(value, lo: int, hi: Optional[int] = None) -> int:
@@ -648,6 +648,17 @@ def _int(value, lo: int, hi: Optional[int] = None) -> int:
     if type(value) is not int or value < lo or (hi is not None and value >= hi):
         raise ValueError(f"expected an integer in [{lo},{hi}), got {value!r}")
     return value
+
+
+def _ints(values, lo: int, hi: int) -> tuple[int, ...]:
+    """The list ``values`` as a tuple if every value is an int (not a bool)
+    within [lo, hi), checked in bulk; else the ValueError ``_int`` raises
+    for the first value that is not."""
+    values = _list(values)
+    if (set(map(type, values)) <= {int} and min(values, default=lo) >= lo
+            and max(values, default=lo) < hi):
+        return tuple(values)
+    return tuple(_int(v, lo, hi) for v in values)
 
 
 def _list(value) -> list:

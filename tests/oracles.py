@@ -10,17 +10,22 @@ flow orientation with it, so it checks everything in front of the flow.  The bis
 network, so they check the budget search and the flow lemmas.  The lex
 standard monomials use the package's exact rank.
 
+Two references keep code that a faster form replaced: the CLI parser with
+every subparser registered, and the JSON class reader's row-by-row check.
+
 Two helpers only build or test inputs: ``is_pseudocube`` reads the
 definition off the line index, and ``poly_from_dict`` writes rational
 coefficients in the package's polynomial form.
 """
 
+import argparse
 import math
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
 
-from pseudocube import HypothesisClass, RationalPolynomial, RealizabilityError
+from pseudocube import (ClassFormatError, HypothesisClass, RationalPolynomial,
+                        RealizabilityError, __version__, cli)
 from pseudocube.classes import lines
 from pseudocube.oig import (FlowNetwork, is_downward_closed, min_max_orientation_indexed,
                             shift)
@@ -36,6 +41,41 @@ def validate_patterns(n: int, k: int, patterns) -> None:
         for v in p:
             if not (0 <= v < k):
                 raise ValueError(f"label {v} out of range [0,{k}) in pattern {p}")
+
+
+def all_subcommands_parser(argv) -> argparse.ArgumentParser:
+    """The CLI parser with all eight subparsers registered on every call, the
+    arguments of the first word of ``argv`` that is not an option only: the
+    reference for ``cli._build_parser``."""
+    command = next((a for a in argv if not a.startswith("-")), None)
+    parser = argparse.ArgumentParser(
+        prog="pseudocube",
+        description="Exact dimensions, sharp size bounds, orientations, and "
+                    "list-learning experiments for finite multiclass classes.")
+    parser.add_argument("--version", action="version", version=__version__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, help_text, add_arguments in cli._SUBCOMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        if command == name:
+            add_arguments(p)
+    return parser
+
+
+def json_rows_class(n: int, k: int, rows: list) -> HypothesisClass:
+    """The class of a JSON class object's rows, checked one row and one label
+    at a time: the reference for the bulk check in ``parse_class_json``."""
+    patterns = set()
+    for row in rows:
+        t = tuple(row)
+        if len(t) != n:
+            raise ClassFormatError(1, f"pattern {t} has length {len(t)}, expected {n}")
+        for v in t:
+            if type(v) is not int or not (0 <= v < k):
+                raise ClassFormatError(1, f"label {v!r} out of range [0,{k})")
+        if t in patterns:
+            raise ClassFormatError(1, f"duplicate pattern {t}")
+        patterns.add(t)
+    return HypothesisClass(n, k, frozenset(patterns))
 
 
 def is_pseudocube(b: HypothesisClass, m: int) -> bool:

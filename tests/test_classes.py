@@ -1,3 +1,4 @@
+import json
 import math
 import pickle
 import random
@@ -9,9 +10,9 @@ from hypothesis import given, settings, strategies as st
 from pseudocube import (CapExceeded, ClassFormatError, HypothesisClass,
                         parse_class, parse_class_json, project, random_class,
                         serialize_class, serialize_class_json)
-from pseudocube.classes import iter_all_classes, lines
+from pseudocube.classes import _parse_class_bulk, iter_all_classes, lines
 
-from oracles import validate_patterns
+from oracles import json_rows_class, validate_patterns
 
 
 def make(n, k, pats):
@@ -230,6 +231,104 @@ def test_serialize_parse_round_trip(spec):
     h = decode(*spec)
     assert parse_class(serialize_class(h)) == h
     assert parse_class_json(serialize_class_json(h)) == h
+
+
+FAULTS = (None, "label out of range", "negative label", "non-integer label", "short row",
+          "long row", "duplicate row", "bad header", "no header", "no rows")
+
+
+@st.composite
+def class_files(draw):
+    """A random class's file in many spellings (blank lines, CRLF and other
+    line breaks, tabs and extra spaces, ``+1`` and ``01`` labels, bytes),
+    with at most one fault; returns (text, fault, whether it has rows)."""
+    n, k, cells = draw(small_classes)
+    rows = [[str(v) for v in p] for p in decode(n, k, cells).sorted_patterns()]
+    fault = draw(st.sampled_from(FAULTS))
+    if fault == "no rows":
+        rows = []
+    elif fault == "duplicate row":
+        rows.append(list(draw(st.sampled_from(rows))))
+    elif fault in ("short row", "long row"):
+        row = draw(st.sampled_from(rows))
+        if fault == "short row":
+            row.pop()
+        else:
+            row.append("0")
+    elif fault in ("label out of range", "negative label", "non-integer label"):
+        row = draw(st.sampled_from(rows))
+        row[draw(st.integers(0, n - 1))] = {
+            "label out of range": str(k), "negative label": "-1",
+            "non-integer label": draw(st.sampled_from(["x", "1.0", "0x1", "1e0"]))}[fault]
+    header = [f"n={n}", f"k={k}"]
+    if fault == "bad header":
+        header = draw(st.sampled_from([[f"n={n}"], [f"k={k}", f"n={n}"], ["n=x", f"k={k}"],
+                                       ["n=0", f"k={k}"], [f"n={n}", "k=1"],
+                                       [f"n={n}", f"k={k}", "d=1"], [f"N={n}", f"k={k}"]]))
+    fields_per_line = [] if fault == "no header" else [header]
+    fields_per_line += [[draw(st.sampled_from(["", "+", "0"])) + token for token in row]
+                        for row in rows]
+    out = []
+    for fields in fields_per_line:
+        if draw(st.booleans()):
+            out.append(draw(st.sampled_from(["", "  ", "\t"])))
+        separator = draw(st.sampled_from([" ", "\t", "  ", " \t"]))
+        out.append(draw(st.sampled_from(["", " "])) + separator.join(fields))
+    text = draw(st.sampled_from(["\n", "\r\n", "\r", "\x0b", "\u2028"])).join(out) + "\n"
+    return (text.encode() if draw(st.booleans()) else text), fault, bool(rows)
+
+
+def _outcome(text):
+    try:
+        return parse_class(text)
+    except ClassFormatError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(class_files())
+def test_bulk_read_gives_the_line_loop_class_or_error(case):
+    # a trailing comment line sends a file through the line loop
+    text, fault, has_rows = case
+    assert _outcome(text) == _outcome(text + (b"\n# end\n" if isinstance(text, bytes)
+                                              else "\n# end\n"))
+    if fault is None and has_rows:
+        assert _parse_class_bulk(text.decode() if isinstance(text, bytes) else text) is not None
+
+
+@st.composite
+def json_rows(draw):
+    """n, k and the rows of a random class as a JSON class object holds
+    them, sometimes with one fault: a bool, a float, null or a label out of
+    range, a row cut short or grown, or a repeated row."""
+    n, k, cells = draw(small_classes)
+    rows = [list(p) for p in decode(n, k, cells).sorted_patterns()]
+    row = draw(st.sampled_from(rows))
+    fault = draw(st.sampled_from([None, "value", "short", "long", "repeat"]))
+    if fault == "value":
+        row[draw(st.integers(0, n - 1))] = draw(st.sampled_from([-1, k, True, False, 1.0, None]))
+    elif fault == "short":
+        row.pop()
+    elif fault == "long":
+        row.append(0)
+    elif fault == "repeat":
+        rows.append(list(row))
+    return n, k, rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(json_rows())
+def test_json_rows_give_the_row_by_row_class_or_error(case):
+    n, k, rows = case
+    try:
+        expected = json_rows_class(n, k, rows)
+    except ClassFormatError as exc:
+        expected = str(exc)
+    text = json.dumps({"n": n, "k": k, "patterns": rows})
+    try:
+        assert parse_class_json(text) == expected
+    except ClassFormatError as exc:
+        assert str(exc) == expected
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,3 +1,4 @@
+import argparse
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -7,6 +8,8 @@ import pytest
 from pseudocube import __version__, load_certificate, parse_class, verify_certificate
 from pseudocube import bounds, cli, dims
 from pseudocube.cli import main
+
+from oracles import all_subcommands_parser
 
 THREE_FILE = "n=2 k=2\n0 0\n0 1\n1 0\n"
 
@@ -616,6 +619,55 @@ def test_importing_the_cli_leaves_multiprocessing_out():
                            f"print([m for m in {deferred!r} if m in sys.modules])"],
                           capture_output=True, text=True, check=True)
     assert proc.stdout == "[]\n"
+
+
+class TestParserEquivalence:
+    """``main`` writes the same exit code, stdout and stderr with the parser
+    it builds as with the reference that registers every subparser, on every
+    Python version (the help digest runs on one)."""
+
+    CASES = [["dim", "ds", "--input", "H"], ["bound", "ds", "--n", "3", "--k", "3", "--d", "1"],
+             ["gen", "extremal", "--n", "3", "--k", "3", "--d", "1"],
+             ["oig", "stats", "--input", "H"], ["cert", "span", "--input", "H"],
+             ["learn", "loo", "--input", "H", "--m", "5", "--trials", "5"],
+             ["sweep", "exhaustive", "--n", "1", "--k", "3"],
+             ["verify", "sauer", "--input", "H"],
+             [], ["--help"], ["-h", "dim"], ["--version"], ["--version", "dim"], ["bogus"],
+             ["dim"], ["dim", "--help"], ["dim", "ds", "--input", "H", "--bogus", "x"],
+             ["-x", "dim", "ds", "--input", "H"], ["learn", "loo", "--jobs", "0"],
+             ["oig", "shift", "--input", "H", "--format", "json"],
+             ["dim", "ds", "--input", "missing.cls"]]
+
+    @staticmethod
+    def _record(capsys, argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    @pytest.mark.parametrize("argv", CASES, ids=[" ".join(argv) or "none" for argv in CASES])
+    def test_output_matches_the_all_subcommands_parser(self, capsys, monkeypatch, tmp_path,
+                                                       argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "H").write_text("n=2 k=3\n0 0\n0 1\n1 0\n")
+        shipped = self._record(capsys, argv)
+        monkeypatch.setattr(cli, "_build_parser", all_subcommands_parser)
+        assert self._record(capsys, argv) == shipped
+
+    def test_a_named_subcommand_builds_two_parsers(self, capsys, monkeypatch, three):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+        assert main(["dim", "ds", "--input", three]) == 0
+        assert built == ["pseudocube", "pseudocube dim"]
 
 
 class TestErrors:

@@ -645,6 +645,20 @@ class TestCertificateFuzz:
         if isinstance(expected, str) or isinstance(got, HypothesisClass):
             assert got == expected
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(-2, 6) | st.sampled_from([True, False, 1.0, None, "1", [1]]),
+                    max_size=6), st.integers(0, 2), st.integers(3, 5))
+    def test_integer_lists_checked_in_bulk_match_the_per_value_check(self, values, lo, hi):
+        # exponent vectors, witness values and the ordering are read in bulk
+        def outcome(read):
+            try:
+                return read()
+            except ValueError as exc:
+                return str(exc)
+
+        assert (outcome(lambda: polycert._ints(values, lo, hi))
+                == outcome(lambda: tuple(polycert._int(v, lo, hi) for v in values)))
+
     @pytest.mark.parametrize("cls", [[], {"n": 2, "k": 2}, {"n": True, "k": 2, "patterns": []},
                                      {"n": 2, "k": 2, "patterns": "x"},
                                      {"n": 2, "k": 2, "patterns": [[0]]},
