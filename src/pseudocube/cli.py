@@ -197,6 +197,9 @@ def _cmd_cert(args, out) -> int:
     if args.input is None:
         raise ValueError(f"cert {args.action} needs --input")
     h = _read_class(args.input)
+    if not 1 <= args.ell <= h.k:
+        # before ds_dimension, which would warn about an ell past k first
+        raise ValueError(f"need 1 <= ell <= k, got ell={args.ell}, k={h.k}")
     d = args.d if args.d is not None else ds_dimension(h, args.ell).value
     if args.action == "span":
         # a computed d is the DS dimension already; only a given one is checked

@@ -6,7 +6,8 @@ Two certificate styles are produced:
   over exact integers and shows the monomial family of bounded high support
   spans all functions on the class (rank == |H|).  The rank is computed mod
   the prime p = 2^61 - 1 first, which is a lower bound on the rank over Q;
-  its rows are built as that rank reads them, and it stops at |H|.
+  its rows are built as that rank reads them, and it stops at |H|.  The zero
+  share of the rows picks a sparse or a dense echelon kernel for it.
   Fraction-free elimination runs only when the two ranks could differ.
   The rows of the lex standard monomials of the class that lie in the basis
   are read first, the other basis rows after them.  The standard rows are
@@ -69,7 +70,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import repeat
+from itertools import chain, islice, repeat
 from operator import mul
 from typing import Iterable, Optional, Sequence
 
@@ -269,17 +270,53 @@ def rank_bareiss(rows: list[list[int]]) -> int:
 def rank_mod_p(rows: Iterable[list[int]]) -> int:
     """Rank over GF(MODULUS), a lower bound on the rank over Q.
 
+    Stops reading rows once the rank reaches the column count, so rows
+    produced lazily past that point are never built; short of it, every row
+    is read.  The first rows, as many as there are columns, are read before
+    any is reduced: the rank cannot reach the column count sooner, so this
+    reads no row the stop would have spared.  Their zero share picks the
+    kernel, and both compute the same rank, because the rank mod p of a set
+    of rows depends on neither the basis kept nor the order of the rows.
+
+    * At a zero share of 1/3 or more, ``_rank_sparse``, an echelon form
+      whose basis rows hold only their nonzero residues, reading the first
+      rows sparsest first (ties in the given order) and the rest as given.
+    * Below it, ``_rank_dense``, a reduced echelon form with a dot product
+      per free column, reading the rows as given.
+
+    The crossover was measured on the span matrices of 32 classes, rank
+    only, best of 3 (2-core x86-64, Python 3.11.7).  From a zero share of
+    0.35 up, the sparse kernel lost by at most 6% and mostly won by far: 2.8
+    against 7.8 ms at share 0.62 (the benchmark's 90-point span cell), 20
+    against 819 ms on the 512 points of extremal(5,4,2,2) at 0.74.  Below
+    1/3 it won by up to 1.9x on random classes, but lost by up to 2.5x where
+    zeros are rare (share 0.13-0.28) and by up to 3.9x on zero-free classes.
+    Reading rows sparsest first would cost the dense kernel up to 2.9x on
+    those, so only the sparse kernel reorders them.
+    """
+    rows = iter(rows)
+    first = next(rows, None)
+    if not first:
+        return 0
+    ncols = len(first)
+    head = [first, *islice(rows, ncols - 1)]
+    zeros = [row.count(0) for row in head]
+    if 3 * sum(zeros) < len(head) * ncols:
+        return _rank_dense(chain(head, rows), ncols)
+    order = sorted(range(len(head)), key=zeros.__getitem__, reverse=True)
+    return _rank_sparse(chain((head[i] for i in order), rows), ncols)
+
+
+def _rank_dense(rows: Iterable[list[int]], ncols: int) -> int:
+    """Rank mod p of rows of length ``ncols``, read until it reaches ncols.
+
     Keeps the rows read so far as a reduced echelon basis stored by column:
     ``neg[f][j]`` is minus the entry of basis row j in the free (non-pivot)
-    column f, so reducing a row is one dot product per free column.  Stops
-    reading rows once the rank reaches the column count, so rows produced
-    lazily past that point are never built.
+    column f, so reducing a row is one dot product per free column.
     """
     pivots: list[int] = []
-    neg: Optional[dict[int, list[int]]] = None
+    neg = {f: [] for f in range(ncols)}
     for row in rows:
-        if neg is None:
-            neg = {f: [] for f in range(len(row))}
         coeffs = [row[c] for c in pivots]
         reduced = {f: (row[f] + sum(map(mul, coeffs, col))) % MODULUS
                    for f, col in neg.items()}
@@ -298,6 +335,36 @@ def rank_mod_p(rows: Iterable[list[int]]) -> int:
         if not neg:
             break
     return len(pivots)
+
+
+def _rank_sparse(rows: Iterable[list[int]], ncols: int) -> int:
+    """Rank mod p of rows of length ``ncols``, read until it reaches ncols.
+
+    Keeps the rows read so far in echelon form: ``basis[c]`` is the basis
+    row whose pivot, its smallest nonzero column, is c, scaled to 1 there,
+    as a {column: residue} dict of its nonzero entries right of c.  A new
+    row is reduced smallest live column first, only until that column is
+    not yet a pivot, where it becomes one.  An entry of the working row is
+    reduced mod p only when it is read, so a product from a basis row costs
+    one multiply and one subtraction.
+    """
+    basis: dict[int, dict[int, int]] = {}
+    for row in rows:
+        row = list(row)
+        # the iterator reads each entry after the subtractions left of it
+        for c, v in enumerate(row):
+            if v and (v := v % MODULUS):
+                above = basis.get(c)
+                if above is None:
+                    inv = pow(v, -1, MODULUS)
+                    basis[c] = {j: y for j, x in enumerate(row[c + 1:], c + 1)
+                                if x and (y := x * inv % MODULUS)}
+                    break
+                for j, x in above.items():
+                    row[j] -= v * x
+        if len(basis) == ncols:
+            break
+    return len(basis)
 
 
 def exact_rank(rows: Iterable[list[int]]) -> int:
@@ -383,6 +450,14 @@ def spanning_certificate(h: HypothesisClass, ell: int, d: int,
     |H| on them alone, unless p divides their determinant, and no dependent
     row is reduced.  Otherwise the other rows follow.  Either way the rank
     is the rank of all the rows, which does not depend on their order.
+
+    The point columns are ordered by zero count, most zeros first (ties in
+    lex order); the rank does not depend on the column order either.  A
+    monomial vanishes at every point where one of its variables is 0, so
+    these columns are the sparsest, and the sparse kernel of ``rank_mod_p``
+    takes its pivots there first, which keeps its basis rows sparse.  On
+    the dense kernel this order moved the time by -15% to +7% over the
+    classes measured for ``rank_mod_p``.
     """
     if h.is_empty:
         raise ValueError("cannot certify the empty class")
@@ -393,7 +468,7 @@ def spanning_certificate(h: HypothesisClass, ell: int, d: int,
                              "the certificate would be meaningless")
     exponents = monomial_set(h.n, h.k, ell, d)
     standard = set(lex_standard_monomials(h))
-    pats = h.sorted_patterns()
+    pats = sorted(h.sorted_patterns(), key=lambda p: p.count(0), reverse=True)
     columns = _MonomialColumns(pats, h.n)
 
     def rows():

@@ -10,6 +10,10 @@ flow orientation with it, so it checks everything in front of the flow.  The bis
 network, so they check the budget search and the flow lemmas.  The lex
 standard monomials use the package's exact rank.
 
+``rank_mod_prime`` is modular elimination, but column by column over all
+rows at once, so it shares no step with the package's two row-by-row
+kernels, which it is the reference for.
+
 Two references keep code that a faster form replaced: the CLI parser with
 every subparser registered, and the JSON class reader's row-by-row check.
 
@@ -378,6 +382,24 @@ def rank_fraction_pivot(rows: list[list[int]]) -> int:
         rank += 1
         if rank == nrows:
             break
+    return rank
+
+
+def rank_mod_prime(rows: list[list[int]], p: int) -> int:
+    """Rank over GF(p) by elimination column by column, first nonzero pivot."""
+    m = [[x % p for x in row] for row in rows]
+    rank = 0
+    for c in range(len(m[0]) if m else 0):
+        pivot = next((i for i in range(rank, len(m)) if m[i][c]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        inv = pow(m[rank][c], -1, p)
+        for i in range(rank + 1, len(m)):
+            factor = m[i][c] * inv % p
+            if factor:
+                m[i] = [(a - factor * b) % p for a, b in zip(m[i], m[rank])]
+        rank += 1
     return rank
 
 

@@ -1,5 +1,6 @@
 import argparse
 import json
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -169,6 +170,19 @@ class TestCert:
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert captured.err == f"error: cert {action} needs --input\n"
+
+    @pytest.mark.parametrize("action", ["span", "replay"])
+    @pytest.mark.parametrize("d", [None, "1"])
+    @pytest.mark.parametrize("ell", ["5", "0"])
+    def test_ell_outside_one_to_k_is_the_only_message(self, capsys, three_k3, action, d, ell):
+        # checked before ds_dimension, which warns about an ell past k
+        argv = ["cert", action, "--input", three_k3, "--ell", ell]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(argv + (["--d", d] if d else []))
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: need 1 <= ell <= k, got ell={ell}, k=3\n"
 
 
 class TestCertBelowDimension:

@@ -22,7 +22,7 @@ from pseudocube.polycert import (MODULUS, VerifyReport, exact_rank, rank_bareiss
 
 from conftest import all_classes, random_corpus
 from oracles import (fraction_evaluate, lex_standard_monomials, poly_from_dict,
-                     polynomial_failures, rank_fraction_pivot)
+                     polynomial_failures, rank_fraction_pivot, rank_mod_prime)
 
 THREE = HypothesisClass.from_patterns(2, 2, [(0, 0), (0, 1), (1, 0)])
 
@@ -176,10 +176,49 @@ class TestRank:
             assert rank_bareiss(rows) == rank_fraction_pivot(rows)
 
 
+ENTRIES = (st.integers(-4, 4) | st.integers(-2 ** 70, 2 ** 70)
+           | st.sampled_from((MODULUS, -MODULUS, 2 * MODULUS)))
 INT_MATRICES = st.integers(1, 6).flatmap(lambda cols: st.lists(
-    st.lists(st.integers(-4, 4) | st.integers(-2 ** 70, 2 ** 70)
-             | st.sampled_from((MODULUS, -MODULUS, 2 * MODULUS)),
-             min_size=cols, max_size=cols), max_size=7))
+    st.lists(ENTRIES, min_size=cols, max_size=cols), max_size=7))
+
+
+@st.composite
+def _shaped_matrices(draw):
+    """(ncols, rows): tall and wide shapes, a zero share of 0 to 9/10, whole
+    zero rows, and rows that are integer combinations of earlier ones."""
+    nrows, ncols = draw(st.integers(0, 12)), draw(st.integers(1, 12))
+    zero_tenths = draw(st.sampled_from((0, 5, 9)))
+    rows = []
+    for _ in range(nrows):
+        kind = draw(st.sampled_from(("drawn", "drawn", "zero", "combination")))
+        if kind == "zero":
+            rows.append([0] * ncols)
+        elif kind == "combination" and rows:
+            a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+            x, y = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            rows.append([a * u + b * v for u, v in zip(x, y)])
+        else:
+            rows.append([0 if draw(st.integers(0, 9)) < zero_tenths else draw(ENTRIES)
+                         for _ in range(ncols)])
+    return ncols, rows
+
+
+SHAPED_MATRICES = _shaped_matrices()
+KERNELS = (polycert._rank_dense, polycert._rank_sparse,
+           lambda rows, ncols: rank_mod_p(rows))
+KERNEL_IDS = ("dense", "sparse", "rank_mod_p")
+
+
+@pytest.fixture
+def kernels_run(monkeypatch):
+    """Spies on the two kernels of ``rank_mod_p``: the name of each one run."""
+    ran = []
+    for name in ("dense", "sparse"):
+        kernel = getattr(polycert, f"_rank_{name}")
+        monkeypatch.setattr(polycert, f"_rank_{name}",
+                            lambda rows, ncols, name=name, kernel=kernel:
+                            ran.append(name) or kernel(rows, ncols))
+    return ran
 
 
 class TestExactRank:
@@ -210,6 +249,30 @@ class TestExactRank:
     def test_empty(self):
         assert exact_rank([]) == 0 == rank_mod_p([])
         assert exact_rank([[0, 0]]) == 0
+
+    @pytest.mark.parametrize("kernel", KERNELS, ids=KERNEL_IDS)
+    @settings(max_examples=150, deadline=None)
+    @given(SHAPED_MATRICES)
+    def test_each_kernel_matches_the_oracles(self, kernel, matrix):
+        """Forced on the same lazily given rows: the rank mod p of the
+        column-by-column oracle, read up to the first prefix whose rank is
+        the column count and no further, and, inside ``exact_rank``, the
+        rational rank of both oracles."""
+        ncols, rows = matrix
+        prefix_ranks = [rank_mod_prime(rows[:t], MODULUS) for t in range(1, len(rows) + 1)]
+        stop = next((t for t, r in enumerate(prefix_ranks, 1) if r == ncols), len(rows))
+        source = iter(rows)
+        assert kernel(source, ncols) == (prefix_ranks[-1] if rows else 0)
+        assert len(rows) - sum(1 for _ in source) == stop
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(polycert, "rank_mod_p", lambda read: kernel(read, ncols))
+            assert exact_rank(iter(rows)) == rank_bareiss(rows) == rank_fraction_pivot(rows)
+
+    @pytest.mark.parametrize("last, chosen", [(0, "sparse"), (17, "dense")])
+    def test_a_zero_share_of_one_third_picks_the_sparse_kernel(self, kernels_run, last,
+                                                               chosen):
+        assert rank_mod_p([[0, 2, 3], [5, 0, 7], [11, 13, last]]) == 3
+        assert kernels_run == [chosen]
 
 
 def _no_bareiss(rows, bit_cap=None):
@@ -249,6 +312,23 @@ def plain_order_rank(h, ell, d):
     pats = h.sorted_patterns()
     return exact_rank([math.prod(x ** e for x, e in zip(p, exp)) for p in pats]
                       for exp in monomial_set(h.n, h.k, ell, d))
+
+
+def standard_first_reads(h, ell, d):
+    """The rows the rank reads when the basis monomials that are lex
+    standard on h come first and the points are in lex order."""
+    pats, exps = h.sorted_patterns(), monomial_set(h.n, h.k, ell, d)
+    standard = set(polycert.lex_standard_monomials(h))
+    read = []
+    exact_rank(read.append(exp) or [math.prod(x ** e for x, e in zip(p, exp)) for p in pats]
+               for exp in sorted(exps, key=lambda e: e not in standard))
+    return len(read)
+
+
+def zero_free(n, k, size, seed):
+    """``size`` points drawn from {1..k-1}^n: every monomial is nonzero on them."""
+    points = list(product(range(1, k), repeat=n))
+    return make(n, k, random.Random(seed).sample(points, size))
 
 
 class TestSpanningCertificate:
@@ -359,6 +439,25 @@ class TestSpanningCertificate:
         for h in [base] + [permuted(base, rng) for _ in range(3)]:
             rep = spanning_certificate(h, 1, 4, check_dim=False)
             assert rep.spans and rows_read[-1] == (90, 473 - 90)
+
+    def test_both_kernels_read_the_rows_the_standard_order_reads(self, rows_read,
+                                                                 kernels_run):
+        """On zero-free classes (dense kernel) and classes with many zeros
+        (sparse kernel), the rank is the rank in plain ``monomial_set`` order,
+        and the rows read are the rows that reading the standard rows first,
+        in ``monomial_set`` order and over lex-ordered points, reads."""
+        cases = [(zero_free(n, k, 100, seed=n), 1, None, "dense")
+                 for n, k in ((4, 5), (5, 4), (7, 3))]
+        cases += [(random_class(4, 6, 0.1, 9), 1, None, "sparse"),
+                  (extremal_class(6, 3, 1, 3), 1, 3, "sparse"),
+                  (extremal_class(5, 4, 2, 2), 2, 2, "sparse")]
+        for h, ell, d, kernel in cases:
+            d = ds_dimension(h, ell).value if d is None else d
+            kernels_run.clear()
+            rep = spanning_certificate(h, ell, d, check_dim=False)
+            assert kernels_run == [kernel]
+            assert rep.spans and rep.rank == plain_order_rank(h, ell, d) == len(h)
+            assert rows_read[-1][0] == standard_first_reads(h, ell, d)
 
     def test_no_recursion_at_1500_coordinates(self):
         h = make(1500, 2, [(0,) * 1500, (1,) * 1500])
