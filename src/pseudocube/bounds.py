@@ -13,7 +13,6 @@ All bound arithmetic is exact big-integer; no floating point enters here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, product
 from math import comb
 from typing import Iterable, Iterator, NamedTuple
@@ -82,8 +81,10 @@ def extremal_class(n: int, k: int, ell: int, d: int,
     return HypothesisClass(n, k, frozenset(iter_bounded_high_vectors(n, k, ell, d)))
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
+    """The size of a class against both Sauer bounds at its DS dimension
+    ``d_used``; ``slack`` is the DS bound minus the size."""
+
     class_size: int
     ds_bound: int
     nat_bound: int

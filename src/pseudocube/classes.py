@@ -7,16 +7,21 @@ common length n over the alphabet {0, ..., k-1}.  Everything downstream
 All objects here are immutable; every operation is a pure function of its
 inputs, so they may be called concurrently.  Randomness enters only through
 explicit seeds.
+
+``HypothesisClass`` and ``dims.ListClass`` are plain classes on one base,
+``_Frozen``, which compares, hashes and prints them by their fields and
+refuses assignment, as a frozen dataclass would; this module does not import
+``dataclasses``, whose ``inspect`` import every command line run would pay.
+``json`` is imported by the JSON reader and writer only.
 """
 
 from __future__ import annotations
 
-import json
 import random
 from collections import defaultdict
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, product
+from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
 Pattern = tuple[int, ...]
@@ -37,8 +42,45 @@ class CapExceeded(RuntimeError):
     """An exhaustive routine would exceed its configured enumeration cap."""
 
 
-@dataclass(frozen=True)
-class HypothesisClass:
+_setattr = object.__setattr__
+
+
+class _Frozen:
+    """An immutable value: equality and hashing over the fields named in
+    ``__match_args__``, in that order, and only against the same class; the
+    repr ``Name(field=value, ...)``; and an ``AttributeError`` on assigning
+    or deleting any attribute.  A subclass's ``__init__`` sets its fields
+    with ``object.__setattr__``, which keeps the instance dict unmaterialised
+    so that attribute reads stay specialised.  A ``cached_property`` writes
+    the instance dict directly, and pickling copies that dict, cached
+    values included."""
+
+    __match_args__: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._values = attrgetter(*cls.__match_args__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == other._values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class HypothesisClass(_Frozen):
     """A set of distinct patterns in {0,...,k-1}^n.
 
     The empty class is representable (several operations reject it in their
@@ -48,11 +90,17 @@ class HypothesisClass:
     first use and kept; they take no part in equality or hashing.
     """
 
-    n: int
-    k: int
-    patterns: frozenset[Pattern]
+    __match_args__ = ("n", "k", "patterns")
+
+    def __init__(self, n: int, k: int, patterns: frozenset[Pattern]):
+        _setattr(self, "n", n)
+        _setattr(self, "k", k)
+        _setattr(self, "patterns", patterns)
+        self.__post_init__()
 
     def __post_init__(self):
+        """The validation, the last step of ``__init__``; the span tracer of
+        ``perfbench/tracing.py`` wraps it under this name."""
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
         if self.k < 2:
@@ -286,6 +334,7 @@ def _parse_class_bulk(text: str) -> HypothesisClass | None:
 def parse_class_json(text: str | bytes) -> HypothesisClass:
     """Parse the structured form: {"n": ..., "k": ..., "patterns": [[...], ...]}.
     Integers are JSON numbers; ``true`` and ``false`` are rejected."""
+    import json
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -341,5 +390,6 @@ def serialize_class(hc: HypothesisClass) -> str:
 
 def serialize_class_json(hc: HypothesisClass) -> str:
     """Canonical JSON form (rows sorted lexicographically)."""
+    import json
     obj = {"n": hc.n, "k": hc.k, "patterns": [list(p) for p in hc.sorted_patterns()]}
     return json.dumps(obj, separators=(",", ":")) + "\n"

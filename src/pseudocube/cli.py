@@ -12,9 +12,11 @@ first word names a subcommand, only that subparser is registered, and
 otherwise all eight are, for the top-level help and errors; the help, usage
 and error text is the same either way.  Importing this module loads
 ``classes``, ``dims`` and ``bounds``, which ``dim``, ``bound``, ``gen``,
-``sweep`` and ``verify`` use on every run; ``oig``, ``polycert``,
-``listlearn`` and ``fractions`` are imported inside the functions of the
-subcommands that use them, so a run pays for no module it never calls.  Exit
+``sweep`` and ``verify`` use on every run, and neither ``dataclasses`` (with
+its ``inspect``) nor ``json``; ``oig``, ``polycert``, ``listlearn``,
+``fractions``, ``dataclasses`` and ``json`` are imported inside the functions
+that use them (``json`` by ``cert``, ``--format json`` and the JSON class
+reader and writer), so a run pays for no module it never calls.  Exit
 status: 0 on success, 1 when a verified inequality fails (an implementation
 bug, so it is reported loudly), 2 on usage or input errors.
 """
@@ -22,10 +24,8 @@ bug, so it is reported loudly), 2 on usage or input errors.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
-from dataclasses import replace
 
 from . import __version__
 from .classes import (CapExceeded, ClassFormatError, DEFAULT_ENUMERATION_CAP,
@@ -70,6 +70,7 @@ def _report(args, out, result, *lines) -> None:
     config = {k: v for k, v in sorted(vars(args).items())
               if k not in ("func", "command") and v is not None}
     if getattr(args, "format", "text") == "json":
+        import json
         out.write(json.dumps({"tool": "pseudocube", "version": __version__,
                               "command": args.command, "config": config, "result": result},
                              separators=(",", ":"), default=str) + "\n")
@@ -227,6 +228,7 @@ def _cmd_cert(args, out) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_learn(args, out) -> int:
+    from dataclasses import replace
     from fractions import Fraction
     from .listlearn import (ExperimentConfig, loo_experiment, make_task, pac_learn,
                             pac_sample_plan, uc_experiment)

@@ -56,22 +56,22 @@ from __future__ import annotations
 import heapq
 import warnings
 from collections import defaultdict
-from dataclasses import dataclass
 from itertools import combinations, product
 from operator import mul
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
-from .classes import CapExceeded, Coords, HypothesisClass, Pattern, lines, project
+from .classes import (CapExceeded, Coords, HypothesisClass, Pattern, _Frozen, _setattr, lines,
+                      project)
 
 GRAPH_DIM_BUDGET = 2 ** 22
 
 
-@dataclass(frozen=True)
-class PseudoCubeReport:
+class PseudoCubeReport(NamedTuple):
     """Result of deficiency peeling: the unique maximal m-pseudo-cube subset.
 
     ``peel_trace`` lists removals as (pattern, deficient direction) in the
     order they happened; trace length plus core size equals the input size.
+    A named tuple, like the other result records of ``dims`` and ``bounds``.
     """
 
     core: HypothesisClass
@@ -79,8 +79,7 @@ class PseudoCubeReport:
     peel_trace: tuple[tuple[Pattern, int], ...]
 
 
-@dataclass(frozen=True)
-class DimensionResult:
+class DimensionResult(NamedTuple):
     """A dimension value with its witnessing coordinate set and structure.
 
     ``witness_structure`` depends on the dimension kind: the pseudo-cube core
@@ -459,17 +458,18 @@ def exponential_dimension(h: HypothesisClass, ell: int) -> DimensionResult:
 ListMember = tuple[frozenset[int], ...]
 
 
-@dataclass(frozen=True)
-class ListClass:
+class ListClass(_Frozen):
     """A finite set of list predictors: maps from {0..n-1} to label sets of
-    size between 1 and ell."""
+    size between 1 and ell.  Immutable, and equal and hashed by its four
+    fields, as ``HypothesisClass`` is."""
 
-    n: int
-    k: int
-    ell: int
-    members: frozenset[ListMember]
+    __match_args__ = ("n", "k", "ell", "members")
 
-    def __post_init__(self):
+    def __init__(self, n: int, k: int, ell: int, members: frozenset[ListMember]):
+        _setattr(self, "n", n)
+        _setattr(self, "k", k)
+        _setattr(self, "ell", ell)
+        _setattr(self, "members", members)
         if self.n < 1 or self.k < 2 or self.ell < 1:
             raise ValueError("need n >= 1, k >= 2, ell >= 1")
         for c in self.members:

@@ -678,6 +678,9 @@ def load_certificate(text: str) -> tuple[Certificate, HypothesisClass]:
     """
     try:
         obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"invalid certificate JSON: {exc.msg} at line {exc.lineno} "
+                         f"column {exc.colno}") from None
     except RecursionError:
         raise ValueError("invalid certificate JSON: nested too deeply") from None
     if not isinstance(obj, dict) or not obj.keys() >= {"class", "ell", "d", "ordering",

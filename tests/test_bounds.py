@@ -3,7 +3,7 @@ import pytest
 from pseudocube import (HypothesisClass, appendix_check, ds_dimension, ds_sauer_bound,
                         extremal_class, max_pseudocube_core, natarajan_sauer_bound,
                         verify_sauer)
-from pseudocube.bounds import _is_acyclic
+from pseudocube.bounds import BoundReport, _is_acyclic
 
 from conftest import all_classes, random_corpus
 from oracles import degree_peel_empties
@@ -105,6 +105,22 @@ class TestVerifySauer:
         for h in random_corpus(20, 3, 3, 0.5, seed0=500):
             rep = verify_sauer(h, 1)
             assert rep.ds_bound <= rep.nat_bound
+
+    def test_report_is_an_immutable_value_of_its_fields(self):
+        fields = dict(class_size=3, ds_bound=2, nat_bound=2, d_used=1, ell=1, holds=False,
+                      slack=-1)
+        rep = BoundReport(**fields)
+        assert rep == BoundReport(3, 2, 2, 1, 1, False, -1)
+        assert hash(rep) == hash(BoundReport(**fields))
+        assert rep != BoundReport(**{**fields, "slack": 0})
+        assert repr(rep) == ("BoundReport(class_size=3, ds_bound=2, nat_bound=2, d_used=1, "
+                             "ell=1, holds=False, slack=-1)")
+        assert verify_sauer(extremal_class(3, 3, 1, 1), 1) == BoundReport(
+            class_size=7, ds_bound=7, nat_bound=10, d_used=1, ell=1, holds=True, slack=0)
+        with pytest.raises(AttributeError):
+            rep.holds = True
+        with pytest.raises(AttributeError):
+            del rep.slack
 
 
 class TestAppendixCheck:

@@ -62,6 +62,53 @@ class TestConstruction:
         assert len(h) == 2
 
 
+class TestValueSemantics:
+    """A class is an immutable value of its three fields, as the frozen
+    dataclass it replaced was, without being a tuple."""
+
+    PATS = frozenset({(0, 1), (2, 0)})
+
+    def test_positional_and_keyword_construction_agree(self):
+        h = HypothesisClass(2, 3, self.PATS)
+        assert HypothesisClass(n=2, k=3, patterns=self.PATS) == h
+        assert HypothesisClass(2, k=3, patterns=self.PATS) == h
+        assert (h.n, h.k, h.patterns) == (2, 3, self.PATS)
+        with pytest.raises(TypeError):
+            HypothesisClass(2, 3)
+
+    def test_equality_and_hash_follow_the_three_fields_only(self):
+        h = HypothesisClass(2, 3, self.PATS)
+        h.columns, h.label_masks  # the cached layout is no field
+        same = HypothesisClass(2, 3, frozenset(self.PATS))
+        assert h == same and not h != same and hash(h) == hash(same)
+        assert hash(h) == hash((2, 3, self.PATS))
+        for other in (HypothesisClass(2, 4, self.PATS), HypothesisClass(3, 3, frozenset()),
+                      HypothesisClass(2, 3, frozenset({(0, 1)}))):
+            assert h != other
+        # another type with equal field values is not equal
+        assert h != (2, 3, self.PATS)
+        assert h.__eq__((2, 3, self.PATS)) is NotImplemented
+
+    def test_repr_is_the_dataclass_form(self):
+        assert (repr(HypothesisClass(2, 3, frozenset({(0, 1)})))
+                == "HypothesisClass(n=2, k=3, patterns=frozenset({(0, 1)}))")
+
+    @pytest.mark.parametrize("name", ["n", "k", "patterns", "columns", "other"])
+    def test_assigning_or_deleting_an_attribute_raises(self, name):
+        h = HypothesisClass(2, 3, self.PATS)
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+            setattr(h, name, 1)
+        with pytest.raises(AttributeError):
+            delattr(h, name)
+        assert (h.n, h.k, h.patterns) == (2, 3, self.PATS)
+
+    def test_iterating_yields_no_fields(self):
+        h = HypothesisClass(2, 3, self.PATS)
+        with pytest.raises(TypeError, match="not iterable"):
+            iter(h)
+        assert not isinstance(h, tuple)
+
+
 class TestParsing:
     def test_basic_file(self):
         h = parse_class("n=2 k=3\n0 0\n1 2\n")

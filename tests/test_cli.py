@@ -247,6 +247,17 @@ class TestCertVerifyInput:
         assert code == 2 and captured.out == ""
         assert "nested too deeply" in captured.err
 
+    @pytest.mark.parametrize("text, where", [("n=2 k=2\n0 0\n", "line 1 column 1"),
+                                             ('{"class": 1,\n "ell": }', "line 2 column 9")])
+    def test_non_json_file_names_the_certificate_and_the_position(self, capsys, tmp_path,
+                                                                  text, where):
+        path = tmp_path / "cert.json"
+        path.write_text(text)
+        code = main(["cert", "verify", "--cert", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: invalid certificate JSON: Expecting value at {where}\n"
+
     def test_boolean_label_in_embedded_class_is_usage_error(self, capsys, tmp_path):
         cls = {"n": 2, "k": 2, "patterns": [[0, 0], [True, 0]]}
         code, out, err = self.verify(capsys, tmp_path, {**self.D0, "d": 1, "class": cls})
@@ -621,18 +632,60 @@ class TestFreshProcess:
         assert proc.stdout == expected
 
 
+# imported only by the commands that use them: ``dataclasses`` (which
+# imports ``inspect``) by ``cert``, ``learn`` and ``oig``, ``json`` by the JSON
+# readers and writers
+START_UP_FREE = ("dataclasses", "inspect", "json")
+
+
 def test_importing_the_cli_leaves_multiprocessing_out():
     """Only ``sweep`` with ``--jobs`` above 1 uses ``multiprocessing``, and
     only ``oig``, ``cert``, ``learn`` and ``verify shiftlaws`` use ``oig``,
-    ``polycert``, ``listlearn`` or ``fractions``, so a fresh import of the
-    command line, which every run pays, loads none of them."""
+    ``polycert``, ``listlearn``, ``fractions`` or ``dataclasses``, and only
+    JSON input and output uses ``json``, so a fresh import of the command
+    line, which every run pays, loads none of them.  Modules the bare
+    interpreter had loaded before the import, by a ``site`` hook say, are
+    not counted."""
     import subprocess, sys
     deferred = ["multiprocessing", "pseudocube.oig", "pseudocube.polycert",
-                "pseudocube.listlearn", "fractions"]
-    proc = subprocess.run([sys.executable, "-c", "import sys, pseudocube.cli; "
-                           f"print([m for m in {deferred!r} if m in sys.modules])"],
+                "pseudocube.listlearn", "fractions", *START_UP_FREE]
+    proc = subprocess.run([sys.executable, "-c", "import sys; bare = set(sys.modules); "
+                           "import pseudocube.cli; "
+                           f"print([m for m in {deferred!r} if m in set(sys.modules) - bare])"],
                           capture_output=True, text=True, check=True)
     assert proc.stdout == "[]\n"
+
+
+def _imported(args):
+    """The exit code of a fresh interpreter run with ``args``, and every
+    module it imported, start-up included, as ``-X importtime`` lists them."""
+    import subprocess, sys
+    proc = subprocess.run([sys.executable, "-X", "importtime", *args],
+                          capture_output=True, text=True)
+    return proc.returncode, {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+                             if line.startswith("import time:")}
+
+
+@pytest.fixture(scope="module")
+def bare_modules():
+    """The modules a bare interpreter imports before running anything."""
+    code, modules = _imported(["-c", "pass"])
+    assert code == 0
+    return modules
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["dim", "ds", "--input", "H"], ()),
+    (["sweep", "random", "--n", "2", "--k", "3", "--count", "5"], ()),
+    (["verify", "corollary", "--n", "2", "--k", "3", "--count", "5"], ()),
+    (["dim", "ds", "--input", "H", "--format", "json"], ("json",))],
+    ids=["dim ds", "sweep random", "verify corollary", "dim ds json"])
+def test_a_run_loads_dataclasses_inspect_and_json_only_when_it_uses_them(three_k3, bare_modules,
+                                                                         argv, loaded):
+    code, modules = _imported(["-m", "pseudocube", *(three_k3 if a == "H" else a for a in argv)])
+    assert code == 0
+    assert set(loaded) <= modules
+    assert [m for m in START_UP_FREE if m in modules - bare_modules] == list(loaded)
 
 
 class TestParserEquivalence:

@@ -534,6 +534,83 @@ class TestGraphDimension:
             graph_dimension(c, budget=10)
 
 
+class TestValueSemantics:
+    """``ListClass`` is an immutable value of its four fields, and the two
+    result records are named tuples: construction, equality, repr and
+    immutability as the frozen dataclasses they replaced had them."""
+
+    MEMBERS = frozenset({(frozenset({0, 2}),), (frozenset({1}),)})
+
+    def test_list_class_construction_equality_and_hash(self):
+        c = ListClass(1, 3, 2, self.MEMBERS)
+        assert ListClass(n=1, k=3, ell=2, members=self.MEMBERS) == c
+        assert (c.n, c.k, c.ell, c.members) == (1, 3, 2, self.MEMBERS)
+        same = ListClass(1, 3, 2, frozenset(self.MEMBERS))
+        assert c == same and hash(c) == hash(same) == hash((1, 3, 2, self.MEMBERS))
+        assert c != ListClass(1, 3, 3, self.MEMBERS) and c != ListClass(1, 4, 2, self.MEMBERS)
+        assert c != (1, 3, 2, self.MEMBERS)
+        # a class and a list class with equal n and k are different types
+        h = make(1, 3, [(0,)])
+        assert ListClass.from_hypothesis_class(h) != h
+
+    def test_list_class_repr_and_immutability(self):
+        c = ListClass(1, 3, 2, frozenset({(frozenset({0, 2}),)}))
+        assert repr(c) == "ListClass(n=1, k=3, ell=2, members=frozenset({(frozenset({0, 2}),)}))"
+        for name in ("n", "ell", "members", "other"):
+            with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+                setattr(c, name, 1)
+            with pytest.raises(AttributeError):
+                delattr(c, name)
+        with pytest.raises(TypeError, match="not iterable"):
+            iter(c)
+
+    @pytest.mark.parametrize("args, message", [
+        ((0, 3, 1, frozenset()), "need n >= 1, k >= 2, ell >= 1"),
+        ((1, 1, 1, frozenset()), "need n >= 1, k >= 2, ell >= 1"),
+        ((1, 3, 0, frozenset()), "need n >= 1, k >= 2, ell >= 1"),
+        ((1, 3, 2, frozenset({(frozenset({0}), frozenset({1}))})),
+         "member (frozenset({0}), frozenset({1})) has length 2, expected 1"),
+        ((1, 3, 1, frozenset({(frozenset({0, 1}),)})), "list {0, 1} has size 2, expected 1..1"),
+        ((1, 3, 2, frozenset({(frozenset(),)})), "list set() has size 0, expected 1..2"),
+        ((1, 3, 2, frozenset({(frozenset({5}),)})), "label out of range in list {5}")])
+    def test_list_class_validation_messages(self, args, message):
+        with pytest.raises(ValueError) as exc:
+            ListClass(*args)
+        assert str(exc.value) == message
+
+    def test_dimension_result_defaults_equality_and_repr(self):
+        assert dims.DimensionResult(0, ()) == dims.DimensionResult(value=0, witness=(),
+                                                                   witness_structure=None)
+        res = dims.DimensionResult(1, (0,), 3)
+        assert res == dims.DimensionResult(1, witness=(0,), witness_structure=3)
+        assert hash(res) == hash(dims.DimensionResult(1, (0,), 3))
+        assert res != dims.DimensionResult(1, (0,), 4) and res != dims.DimensionResult(1, (1,), 3)
+        assert repr(dims.DimensionResult(0, ())) == \
+            "DimensionResult(value=0, witness=(), witness_structure=None)"
+        assert repr(res) == "DimensionResult(value=1, witness=(0,), witness_structure=3)"
+        for name in ("value", "witness_structure"):
+            with pytest.raises(AttributeError):
+                setattr(res, name, 2)
+            with pytest.raises(AttributeError):
+                delattr(res, name)
+        with pytest.raises(AttributeError):
+            res.other = 1
+
+    def test_pseudo_cube_report_equality_and_repr(self):
+        rep = max_pseudocube_core(make(1, 2, [(0,), (1,)]), 3)
+        assert rep == dims.PseudoCubeReport(core=make(1, 2, []), is_pseudo_cube=False,
+                                            peel_trace=(((0,), 0), ((1,), 0)))
+        assert hash(rep) == hash(max_pseudocube_core(make(1, 2, [(0,), (1,)]), 3))
+        assert rep != max_pseudocube_core(make(1, 2, [(0,), (1,)]), 2)
+        assert repr(rep) == ("PseudoCubeReport(core=HypothesisClass(n=1, k=2, "
+                             "patterns=frozenset()), is_pseudo_cube=False, "
+                             "peel_trace=(((0,), 0), ((1,), 0)))")
+        with pytest.raises(AttributeError):
+            rep.core = make(1, 2, [])
+        with pytest.raises(AttributeError):
+            del rep.peel_trace
+
+
 class TestTieBreak:
     """Each dimension returns the first shattered set of a walk over every
     subset, largest first and then lexicographic, with the same structure."""
