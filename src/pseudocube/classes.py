@@ -105,12 +105,15 @@ class HypothesisClass(_Frozen):
             raise ValueError(f"n must be >= 1, got {self.n}")
         if self.k < 2:
             raise ValueError(f"k must be >= 2, got {self.k}")
-        # accept in bulk when every length is n and every distinct label an
-        # int in [0, k); anything else, an exception included, takes the loop,
-        # which names the first offending pattern
+        # accept in bulk when every length is n and every label an int (not a
+        # bool) in [0, k); anything else, an exception included, takes the
+        # loop, which applies the same rule and names the first offending
+        # pattern.  The types are read label by label: a set of the labels
+        # keeps one of equal values, so 0 would hide False and 1.0
         try:
             labels = set().union(*self.patterns)
-            if (set(map(len, self.patterns)) <= {self.n} and set(map(type, labels)) <= {int}
+            if (set(map(len, self.patterns)) <= {self.n}
+                    and {type(v) for p in self.patterns for v in p} <= {int}
                     and min(labels, default=0) >= 0 and max(labels, default=0) < self.k):
                 return
         except Exception:
@@ -119,7 +122,7 @@ class HypothesisClass(_Frozen):
             if len(p) != self.n:
                 raise ValueError(f"pattern {p} has length {len(p)}, expected {self.n}")
             for v in p:
-                if not (0 <= v < self.k):
+                if type(v) is not int or not (0 <= v < self.k):
                     raise ValueError(f"label {v} out of range [0,{self.k}) in pattern {p}")
 
     @classmethod
@@ -391,5 +394,10 @@ def serialize_class(hc: HypothesisClass) -> str:
 def serialize_class_json(hc: HypothesisClass) -> str:
     """Canonical JSON form (rows sorted lexicographically)."""
     import json
-    obj = {"n": hc.n, "k": hc.k, "patterns": [list(p) for p in hc.sorted_patterns()]}
-    return json.dumps(obj, separators=(",", ":")) + "\n"
+    return json.dumps(_class_to_json(hc, hc.sorted_patterns()), separators=(",", ":")) + "\n"
+
+
+def _class_to_json(hc: HypothesisClass, pats: list[Pattern]) -> dict:
+    """The JSON object of ``hc``, given its patterns in canonical order; a
+    certificate embeds its class through the same call."""
+    return {"n": hc.n, "k": hc.k, "patterns": [list(p) for p in pats]}

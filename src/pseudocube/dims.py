@@ -478,7 +478,7 @@ class ListClass(_Frozen):
             for s in c:
                 if not (1 <= len(s) <= self.ell):
                     raise ValueError(f"list {set(s)} has size {len(s)}, expected 1..{self.ell}")
-                if any(not (0 <= v < self.k) for v in s):
+                if any(type(v) is not int or not (0 <= v < self.k) for v in s):
                     raise ValueError(f"label out of range in list {set(s)}")
 
     @classmethod

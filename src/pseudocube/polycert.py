@@ -6,8 +6,11 @@ Two certificate styles are produced:
   over exact integers and shows the monomial family of bounded high support
   spans all functions on the class (rank == |H|).  The rank is computed mod
   the prime p = 2^61 - 1 first, which is a lower bound on the rank over Q;
-  its rows are built as that rank reads them, and it stops at |H|.  The zero
-  share of the rows picks a sparse or a dense echelon kernel for it.
+  its rows are built as that rank reads them, and it stops at |H|.  One
+  sparse echelon kernel computes it.  The rows are evaluated at the
+  patterns translated so that each coordinate's commonest label is 0,
+  which makes them sparse; the translation moves no rank, because the
+  basis is downward closed (``spanning_certificate`` gives the argument).
   Fraction-free elimination runs only when the two ranks could differ.
   The rows of the lex standard monomials of the class that lie in the basis
   are read first, the other basis rows after them.  The standard rows are
@@ -35,12 +38,13 @@ bounded-high set, so neither replay nor verifier enumerates the basis; only
 
 Polynomials are evaluated by one kernel: the values of a monomial x^e at a
 sequence of points are a product of per-coordinate power columns
-(``_MonomialColumns``).  The span rank reads its rows from it.  The verifier
-builds one table of monomial columns at the ordering per call and checks
-integer numerators, a sum of c * column over the terms, against the
-denominator; it builds a ``Fraction`` only for a failure message.  Back
-substitution in the replay reads the column of a poly above the diagonal
-from the same table, computed whole on its first read.
+(``_MonomialColumns``).  The span rank reads its rows from it, at the
+translated patterns; the verifier and the replay evaluate at the patterns
+themselves.  The verifier builds one table of monomial columns at the
+ordering per call and checks integer numerators, a sum of c * column over
+the terms, against the denominator; it builds a ``Fraction`` only for a
+failure message.  Back substitution in the replay reads the column of a poly
+above the diagonal from the same table, computed whole on its first read.
 ``RationalPolynomial.evaluate`` is the single-point form, kept as a public
 method and as the tests' oracle.
 
@@ -66,16 +70,16 @@ from __future__ import annotations
 
 import json
 import math
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, islice, repeat
-from operator import mul
+from operator import mul, sub
 from typing import Iterable, Optional, Sequence
 
 from .classes import (CapExceeded, DEFAULT_ENUMERATION_CAP, HypothesisClass,
-                      Pattern, _class_from_json, lines, serialize_class_json)
+                      Pattern, _class_from_json, _class_to_json, lines)
 from .bounds import ds_sauer_bound, iter_bounded_high_vectors
 from .dims import ds_dimension, max_pseudocube_core
 
@@ -273,74 +277,12 @@ def rank_mod_p(rows: Iterable[list[int]]) -> int:
     Stops reading rows once the rank reaches the column count, so rows
     produced lazily past that point are never built; short of it, every row
     is read.  The first rows, as many as there are columns, are read before
-    any is reduced: the rank cannot reach the column count sooner, so this
-    reads no row the stop would have spared.  Their zero share picks the
-    kernel, and both compute the same rank, because the rank mod p of a set
-    of rows depends on neither the basis kept nor the order of the rows.
+    any is reduced and taken sparsest first (ties in the given order), the
+    rest as given: the rank cannot reach the column count sooner, so this
+    reads no row the stop would have spared, and the rank mod p of a set of
+    rows does not depend on their order.
 
-    * At a zero share of 1/3 or more, ``_rank_sparse``, an echelon form
-      whose basis rows hold only their nonzero residues, reading the first
-      rows sparsest first (ties in the given order) and the rest as given.
-    * Below it, ``_rank_dense``, a reduced echelon form with a dot product
-      per free column, reading the rows as given.
-
-    The crossover was measured on the span matrices of 32 classes, rank
-    only, best of 3 (2-core x86-64, Python 3.11.7).  From a zero share of
-    0.35 up, the sparse kernel lost by at most 6% and mostly won by far: 2.8
-    against 7.8 ms at share 0.62 (the benchmark's 90-point span cell), 20
-    against 819 ms on the 512 points of extremal(5,4,2,2) at 0.74.  Below
-    1/3 it won by up to 1.9x on random classes, but lost by up to 2.5x where
-    zeros are rare (share 0.13-0.28) and by up to 3.9x on zero-free classes.
-    Reading rows sparsest first would cost the dense kernel up to 2.9x on
-    those, so only the sparse kernel reorders them.
-    """
-    rows = iter(rows)
-    first = next(rows, None)
-    if not first:
-        return 0
-    ncols = len(first)
-    head = [first, *islice(rows, ncols - 1)]
-    zeros = [row.count(0) for row in head]
-    if 3 * sum(zeros) < len(head) * ncols:
-        return _rank_dense(chain(head, rows), ncols)
-    order = sorted(range(len(head)), key=zeros.__getitem__, reverse=True)
-    return _rank_sparse(chain((head[i] for i in order), rows), ncols)
-
-
-def _rank_dense(rows: Iterable[list[int]], ncols: int) -> int:
-    """Rank mod p of rows of length ``ncols``, read until it reaches ncols.
-
-    Keeps the rows read so far as a reduced echelon basis stored by column:
-    ``neg[f][j]`` is minus the entry of basis row j in the free (non-pivot)
-    column f, so reducing a row is one dot product per free column.
-    """
-    pivots: list[int] = []
-    neg = {f: [] for f in range(ncols)}
-    for row in rows:
-        coeffs = [row[c] for c in pivots]
-        reduced = {f: (row[f] + sum(map(mul, coeffs, col))) % MODULUS
-                   for f, col in neg.items()}
-        pivot = next((f for f, v in reduced.items() if v), None)
-        if pivot is None:
-            continue
-        inv = pow(reduced.pop(pivot), -1, MODULUS)
-        # clear the new pivot column from the old basis rows
-        above = [-x % MODULUS for x in neg.pop(pivot)]
-        for f, v in reduced.items():
-            b = v * inv % MODULUS
-            if b:
-                neg[f] = [(x + a * b) % MODULUS for x, a in zip(neg[f], above)]
-            neg[f].append(-b % MODULUS)
-        pivots.append(pivot)
-        if not neg:
-            break
-    return len(pivots)
-
-
-def _rank_sparse(rows: Iterable[list[int]], ncols: int) -> int:
-    """Rank mod p of rows of length ``ncols``, read until it reaches ncols.
-
-    Keeps the rows read so far in echelon form: ``basis[c]`` is the basis
+    The rows read so far are kept in echelon form: ``basis[c]`` is the basis
     row whose pivot, its smallest nonzero column, is c, scaled to 1 there,
     as a {column: residue} dict of its nonzero entries right of c.  A new
     row is reduced smallest live column first, only until that column is
@@ -348,8 +290,15 @@ def _rank_sparse(rows: Iterable[list[int]], ncols: int) -> int:
     reduced mod p only when it is read, so a product from a basis row costs
     one multiply and one subtraction.
     """
+    rows = iter(rows)
+    first = next(rows, None)
+    if not first:
+        return 0
+    ncols = len(first)
+    head = sorted([first, *islice(rows, ncols - 1)], key=lambda row: row.count(0),
+                  reverse=True)
     basis: dict[int, dict[int, int]] = {}
-    for row in rows:
+    for row in chain(head, rows):
         row = list(row)
         # the iterator reads each entry after the subtractions left of it
         for c, v in enumerate(row):
@@ -451,13 +400,23 @@ def spanning_certificate(h: HypothesisClass, ell: int, d: int,
     row is reduced.  Otherwise the other rows follow.  Either way the rank
     is the rank of all the rows, which does not depend on their order.
 
+    The rows are evaluated at the patterns translated so that each
+    coordinate's commonest label (the smallest on ties) becomes 0, which
+    gives the sparse rows that ``rank_mod_p`` is fast on.  No rank moves:
+    (x - a)^e expands into monomials x^e' with e' <= e componentwise, with
+    coefficient 1 at e' = e.  The basis and the lex standard monomials are
+    both downward closed, and lex order is a linear extension of <=, so
+    the order above lists every vector after every vector below it.  Each
+    prefix of the rows is then downward closed, and the translated rows of
+    a prefix are a unitriangular integer transform of its untranslated
+    rows: they have the same rank, mod p as over Q.  So the rank, and the
+    row at which it reaches |H|, are those of the untranslated rows.
+
     The point columns are ordered by zero count, most zeros first (ties in
-    lex order); the rank does not depend on the column order either.  A
-    monomial vanishes at every point where one of its variables is 0, so
-    these columns are the sparsest, and the sparse kernel of ``rank_mod_p``
-    takes its pivots there first, which keeps its basis rows sparse.  On
-    the dense kernel this order moved the time by -15% to +7% over the
-    classes measured for ``rank_mod_p``.
+    lex order of the patterns); the rank does not depend on the column
+    order either.  A monomial vanishes at every point where one of its
+    variables is 0, so these columns are the sparsest, and ``rank_mod_p``
+    takes its pivots there first, which keeps its basis rows sparse.
     """
     if h.is_empty:
         raise ValueError("cannot certify the empty class")
@@ -468,8 +427,13 @@ def spanning_certificate(h: HypothesisClass, ell: int, d: int,
                              "the certificate would be meaningless")
     exponents = monomial_set(h.n, h.k, ell, d)
     standard = set(lex_standard_monomials(h))
-    pats = sorted(h.sorted_patterns(), key=lambda p: p.count(0), reverse=True)
-    columns = _MonomialColumns(pats, h.n)
+    shift = []
+    for column in h.columns:
+        counts = Counter(column)
+        shift.append(max(sorted(counts), key=counts.__getitem__))
+    points = sorted((tuple(map(sub, p, shift)) for p in h.sorted_patterns()),
+                    key=lambda p: p.count(0), reverse=True)
+    columns = _MonomialColumns(points, h.n)
 
     def rows():
         # built on demand: the rank mod p stops reading at |H|, which the
@@ -478,8 +442,8 @@ def spanning_certificate(h: HypothesisClass, ell: int, d: int,
             yield columns[exp]
 
     rank = exact_rank(rows())
-    return SpanReport(rank=rank, spans=rank == len(pats),
-                      monomial_count=len(exponents), class_size=len(pats))
+    return SpanReport(rank=rank, spans=rank == len(points),
+                      monomial_count=len(exponents), class_size=len(points))
 
 
 # ---------------------------------------------------------------------------
@@ -655,7 +619,7 @@ def serialize_certificate(cert: Certificate, h: HypothesisClass) -> str:
     pats = h.sorted_patterns()
     index = {p: i for i, p in enumerate(pats)}
     obj = {
-        "class": json.loads(serialize_class_json(h)),
+        "class": _class_to_json(h, pats),
         "ell": cert.ell,
         "d": cert.d,
         "ordering": [index[p] for p in cert.ordering],

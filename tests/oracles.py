@@ -11,8 +11,9 @@ network, so they check the budget search and the flow lemmas.  The lex
 standard monomials use the package's exact rank.
 
 ``rank_mod_prime`` is modular elimination, but column by column over all
-rows at once, so it shares no step with the package's two row-by-row
-kernels, which it is the reference for.
+rows at once, so it shares no step with the package's one row-by-row
+kernel, the sparse echelon form of ``rank_mod_p``, which it is the
+reference for.
 
 Two references keep code that a faster form replaced: the CLI parser with
 every subparser registered, and the JSON class reader's row-by-row check.
@@ -43,7 +44,7 @@ def validate_patterns(n: int, k: int, patterns) -> None:
         if len(p) != n:
             raise ValueError(f"pattern {p} has length {len(p)}, expected {n}")
         for v in p:
-            if not (0 <= v < k):
+            if type(v) is not int or not (0 <= v < k):
                 raise ValueError(f"label {v} out of range [0,{k}) in pattern {p}")
 
 

@@ -2,6 +2,7 @@ import json
 import math
 import pickle
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -31,6 +32,12 @@ class TestConstruction:
             make(0, 3, [])
         with pytest.raises(ValueError):
             make(2, 1, [])
+
+    @pytest.mark.parametrize("label", [1.5, 1.0, True, False, "a"])
+    def test_rejects_a_label_that_is_not_an_int(self, label):
+        with pytest.raises(ValueError,
+                           match=re.escape(f"label {label} out of range [0,3) in pattern")):
+            HypothesisClass(2, 3, frozenset({(label, 0), (0, 1)}))
 
     def test_empty_is_flagged(self):
         h = make(2, 3, [])

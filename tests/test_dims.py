@@ -572,7 +572,10 @@ class TestValueSemantics:
          "member (frozenset({0}), frozenset({1})) has length 2, expected 1"),
         ((1, 3, 1, frozenset({(frozenset({0, 1}),)})), "list {0, 1} has size 2, expected 1..1"),
         ((1, 3, 2, frozenset({(frozenset(),)})), "list set() has size 0, expected 1..2"),
-        ((1, 3, 2, frozenset({(frozenset({5}),)})), "label out of range in list {5}")])
+        ((1, 3, 2, frozenset({(frozenset({5}),)})), "label out of range in list {5}"),
+        ((1, 3, 2, frozenset({(frozenset({1.5}),)})), "label out of range in list {1.5}"),
+        ((1, 3, 2, frozenset({(frozenset({True}),)})), "label out of range in list {True}"),
+        ((1, 3, 2, frozenset({(frozenset({"a"}),)})), "label out of range in list {'a'}")])
     def test_list_class_validation_messages(self, args, message):
         with pytest.raises(ValueError) as exc:
             ListClass(*args)

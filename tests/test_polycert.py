@@ -204,21 +204,6 @@ def _shaped_matrices(draw):
 
 
 SHAPED_MATRICES = _shaped_matrices()
-KERNELS = (polycert._rank_dense, polycert._rank_sparse,
-           lambda rows, ncols: rank_mod_p(rows))
-KERNEL_IDS = ("dense", "sparse", "rank_mod_p")
-
-
-@pytest.fixture
-def kernels_run(monkeypatch):
-    """Spies on the two kernels of ``rank_mod_p``: the name of each one run."""
-    ran = []
-    for name in ("dense", "sparse"):
-        kernel = getattr(polycert, f"_rank_{name}")
-        monkeypatch.setattr(polycert, f"_rank_{name}",
-                            lambda rows, ncols, name=name, kernel=kernel:
-                            ran.append(name) or kernel(rows, ncols))
-    return ran
 
 
 class TestExactRank:
@@ -250,29 +235,21 @@ class TestExactRank:
         assert exact_rank([]) == 0 == rank_mod_p([])
         assert exact_rank([[0, 0]]) == 0
 
-    @pytest.mark.parametrize("kernel", KERNELS, ids=KERNEL_IDS)
+    @pytest.mark.parametrize("kernel", [rank_mod_p], ids=["rank_mod_p"])
     @settings(max_examples=150, deadline=None)
     @given(SHAPED_MATRICES)
     def test_each_kernel_matches_the_oracles(self, kernel, matrix):
-        """Forced on the same lazily given rows: the rank mod p of the
-        column-by-column oracle, read up to the first prefix whose rank is
-        the column count and no further, and, inside ``exact_rank``, the
-        rational rank of both oracles."""
+        """On lazily given rows: the rank mod p of the column-by-column
+        oracle, read up to the first prefix whose rank is the column count
+        and no further, and, inside ``exact_rank``, the rational rank of
+        both oracles."""
         ncols, rows = matrix
         prefix_ranks = [rank_mod_prime(rows[:t], MODULUS) for t in range(1, len(rows) + 1)]
         stop = next((t for t, r in enumerate(prefix_ranks, 1) if r == ncols), len(rows))
         source = iter(rows)
-        assert kernel(source, ncols) == (prefix_ranks[-1] if rows else 0)
+        assert kernel(source) == (prefix_ranks[-1] if rows else 0)
         assert len(rows) - sum(1 for _ in source) == stop
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(polycert, "rank_mod_p", lambda read: kernel(read, ncols))
-            assert exact_rank(iter(rows)) == rank_bareiss(rows) == rank_fraction_pivot(rows)
-
-    @pytest.mark.parametrize("last, chosen", [(0, "sparse"), (17, "dense")])
-    def test_a_zero_share_of_one_third_picks_the_sparse_kernel(self, kernels_run, last,
-                                                               chosen):
-        assert rank_mod_p([[0, 2, 3], [5, 0, 7], [11, 13, last]]) == 3
-        assert kernels_run == [chosen]
+        assert exact_rank(iter(rows)) == rank_bareiss(rows) == rank_fraction_pivot(rows)
 
 
 def _no_bareiss(rows, bit_cap=None):
@@ -329,6 +306,16 @@ def zero_free(n, k, size, seed):
     """``size`` points drawn from {1..k-1}^n: every monomial is nonzero on them."""
     points = list(product(range(1, k), repeat=n))
     return make(n, k, random.Random(seed).sample(points, size))
+
+
+def rare_zero(h):
+    """``h`` with labels 0 and the rarest label swapped at each coordinate
+    (the smallest on ties, counting absent labels), so that 0 is rare."""
+    swaps = []
+    for column in zip(*h.patterns):
+        rarest = min(range(h.k), key=column.count)
+        swaps.append({0: rarest, rarest: 0})
+    return make(h.n, h.k, [tuple(s.get(v, v) for s, v in zip(swaps, p)) for p in h.patterns])
 
 
 class TestSpanningCertificate:
@@ -428,6 +415,42 @@ class TestSpanningCertificate:
         assert rep.rank == plain_order_rank(h, 1, 1) == 3
         assert rows_read == [(5, 0)]
 
+    def test_translation_keeps_the_rank_and_the_rows_read(self, rows_read):
+        """At every ell < k and every d <= n, rank-deficient d included, the
+        rank at the translated patterns is the rank of the untranslated rows
+        in plain ``monomial_set`` order, and it reads the rows that the
+        standard-first order reads at the patterns themselves."""
+        corpus = []
+        for n, k, size in ((2, 3, 6), (2, 5, 14), (3, 3, 14), (3, 4, 20), (3, 5, 24),
+                           (4, 3, 24), (4, 4, 20)):
+            drawn = random_corpus(2, n, k, size / k ** n, seed0=38 * n + k, min_size=2)
+            corpus += drawn + [rare_zero(h) for h in drawn]
+            corpus.append(zero_free(n, k, min(size, (k - 1) ** n), seed=n + k))
+        deficient = 0
+        for h in corpus:
+            for ell in range(1, h.k):
+                for d in range(h.n + 1):
+                    rep = spanning_certificate(h, ell, d, check_dim=False)
+                    assert rep.rank == plain_order_rank(h, ell, d)
+                    assert rows_read[-1][0] == standard_first_reads(h, ell, d)
+                    deficient += not rep.spans
+        assert deficient
+
+    def test_rows_are_evaluated_at_the_commonest_label_translated_to_0(self, monkeypatch):
+        points = []
+
+        class Spy(polycert._MonomialColumns):
+            def __init__(self, pats, n):
+                points.append(sorted(pats))
+                super().__init__(pats, n)
+
+        monkeypatch.setattr(polycert, "_MonomialColumns", Spy)
+        # coordinate 0 has labels 1 and 2 twice each and 0 once: the tie goes
+        # to 1; coordinate 1 has label 2 three times
+        h = make(2, 3, [(0, 2), (1, 2), (1, 0), (2, 1), (2, 2)])
+        assert spanning_certificate(h, 1, 2).spans
+        assert points == [sorted([(-1, 0), (0, 0), (0, -2), (1, -1), (1, 0)])]
+
     def test_benchmark_n6_span_cell_reads_the_class_size(self, rows_read):
         # the base class of the n=6 span cell of the cert benchmark workload;
         # its lex standard monomials lie in the d=4 basis under all 720
@@ -440,22 +463,19 @@ class TestSpanningCertificate:
             rep = spanning_certificate(h, 1, 4, check_dim=False)
             assert rep.spans and rows_read[-1] == (90, 473 - 90)
 
-    def test_both_kernels_read_the_rows_the_standard_order_reads(self, rows_read,
-                                                                 kernels_run):
-        """On zero-free classes (dense kernel) and classes with many zeros
-        (sparse kernel), the rank is the rank in plain ``monomial_set`` order,
-        and the rows read are the rows that reading the standard rows first,
-        in ``monomial_set`` order and over lex-ordered points, reads."""
-        cases = [(zero_free(n, k, 100, seed=n), 1, None, "dense")
-                 for n, k in ((4, 5), (5, 4), (7, 3))]
-        cases += [(random_class(4, 6, 0.1, 9), 1, None, "sparse"),
-                  (extremal_class(6, 3, 1, 3), 1, 3, "sparse"),
-                  (extremal_class(5, 4, 2, 2), 2, 2, "sparse")]
-        for h, ell, d, kernel in cases:
+    def test_both_kernels_read_the_rows_the_standard_order_reads(self, rows_read):
+        """On zero-free classes and classes with many zeros, the rank is the
+        rank in plain ``monomial_set`` order, and the rows read at the
+        translated patterns are the rows that reading the standard rows
+        first, in ``monomial_set`` order and over the lex-ordered patterns
+        themselves, reads."""
+        cases = [(zero_free(n, k, 100, seed=n), 1, None) for n, k in ((4, 5), (5, 4), (7, 3))]
+        cases += [(random_class(4, 6, 0.1, 9), 1, None),
+                  (extremal_class(6, 3, 1, 3), 1, 3),
+                  (extremal_class(5, 4, 2, 2), 2, 2)]
+        for h, ell, d in cases:
             d = ds_dimension(h, ell).value if d is None else d
-            kernels_run.clear()
             rep = spanning_certificate(h, ell, d, check_dim=False)
-            assert kernels_run == [kernel]
             assert rep.spans and rep.rank == plain_order_rank(h, ell, d) == len(h)
             assert rows_read[-1][0] == standard_first_reads(h, ell, d)
 
