@@ -13,6 +13,14 @@ explicit seeds.
 refuses assignment, as a frozen dataclass would; this module does not import
 ``dataclasses``, whose ``inspect`` import every command line run would pay.
 ``json`` is imported by the JSON reader and writer only.
+
+A class is checked once, where it enters the package: by the public
+constructor, or by the reader that names its first bad line or row.  A class
+derived from a valid one (a projection, a peel core, a shift, a replay's
+projection, the singleton-list view), or just checked in full by a reader, is
+built through ``_Frozen._of``; ``tests/test_invariants.py`` lists its callers.
+The generators keep the public constructor, which checks the n and k they
+were given.  ``_rows_valid`` is the one bulk label rule.
 """
 
 from __future__ import annotations
@@ -49,17 +57,31 @@ class _Frozen:
     """An immutable value: equality and hashing over the fields named in
     ``__match_args__``, in that order, and only against the same class; the
     repr ``Name(field=value, ...)``; and an ``AttributeError`` on assigning
-    or deleting any attribute.  A subclass's ``__init__`` sets its fields
-    with ``object.__setattr__``, which keeps the instance dict unmaterialised
-    so that attribute reads stay specialised.  A ``cached_property`` writes
-    the instance dict directly, and pickling copies that dict, cached
-    values included."""
+    or deleting any attribute.  A ``cached_property`` writes the instance
+    dict directly, and pickling copies that dict, cached values included.
+
+    ``_set`` is the one field setter: it uses ``object.__setattr__``, which
+    keeps the instance dict unmaterialised so that attribute reads stay
+    specialised.  A subclass's ``__init__`` calls it and then checks the
+    fields; ``_of`` calls it alone, for values already known to be valid.
+    Values from outside the package go through ``__init__``, and so do the
+    generators', whose n and k come from their caller."""
 
     __match_args__: tuple[str, ...] = ()
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         cls._values = attrgetter(*cls.__match_args__)
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__match_args__, values):
+            _setattr(self, name, value)
+
+    @classmethod
+    def _of(cls, *values):
+        self = object.__new__(cls)
+        self._set(*values)
+        return self
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -93,31 +115,21 @@ class HypothesisClass(_Frozen):
     __match_args__ = ("n", "k", "patterns")
 
     def __init__(self, n: int, k: int, patterns: frozenset[Pattern]):
-        _setattr(self, "n", n)
-        _setattr(self, "k", k)
-        _setattr(self, "patterns", patterns)
+        self._set(n, k, patterns)
         self.__post_init__()
 
     def __post_init__(self):
         """The validation, the last step of ``__init__``; the span tracer of
-        ``perfbench/tracing.py`` wraps it under this name."""
+        ``perfbench/tracing.py`` wraps it under this name, so its counters
+        count checked constructions only, not those through ``_of``."""
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
         if self.k < 2:
             raise ValueError(f"k must be >= 2, got {self.k}")
-        # accept in bulk when every length is n and every label an int (not a
-        # bool) in [0, k); anything else, an exception included, takes the
-        # loop, which applies the same rule and names the first offending
-        # pattern.  The types are read label by label: a set of the labels
-        # keeps one of equal values, so 0 would hide False and 1.0
-        try:
-            labels = set().union(*self.patterns)
-            if (set(map(len, self.patterns)) <= {self.n}
-                    and {type(v) for p in self.patterns for v in p} <= {int}
-                    and min(labels, default=0) >= 0 and max(labels, default=0) < self.k):
-                return
-        except Exception:
-            pass
+        # anything the bulk rule does not accept takes the loop, which applies
+        # the same rule and names the first offending pattern
+        if _rows_valid(self.patterns, self.n, self.k):
+            return
         for p in self.patterns:
             if len(p) != self.n:
                 raise ValueError(f"pattern {p} has length {len(p)}, expected {self.n}")
@@ -169,6 +181,21 @@ class HypothesisClass(_Frozen):
         return tuple(zip(*masks))
 
 
+def _rows_valid(rows, n: int, k: int) -> bool:
+    """The bulk label rule: every row has length n and every label is an int
+    (not a bool) in [0, k).  False on anything else, an exception included;
+    each caller's own loop then names the offender."""
+    # the types are read label by label: a set of the labels keeps one of
+    # equal values, so 0 would hide False and 1.0
+    try:
+        labels = set().union(*rows)
+        return (set(map(len, rows)) <= {n}
+                and {type(v) for row in rows for v in row} <= {int}
+                and (not labels or (min(labels) >= 0 and max(labels) < k)))
+    except Exception:
+        return False
+
+
 def validate_coords(coords: Iterable[int], n: int) -> Coords:
     """Check a coordinate set: nonempty, strictly increasing, within [0, n)."""
     s = tuple(coords)
@@ -200,7 +227,7 @@ def project(hc: HypothesisClass, coords: Iterable[int]) -> HypothesisClass:
     The result has n = len(coords) and the same alphabet.
     """
     s = validate_coords(coords, hc.n)
-    return HypothesisClass(len(s), hc.k, frozenset(zip(*[hc.columns[i] for i in s])))
+    return HypothesisClass._of(len(s), hc.k, frozenset(zip(*[hc.columns[i] for i in s])))
 
 
 def random_class(n: int, k: int, density: float, seed: int,
@@ -234,8 +261,11 @@ def iter_all_classes(n: int, k: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Iter
 
     There are 2^(k^n) - 1 of them; the bitmask of the lexicographic cell list
     runs from 1 upward.  Intended for exhaustive sweeps at tiny (n, k).  The
-    cap is checked when this is called, not at the first ``next()``.
+    cap, n >= 1 and k >= 2 are checked when this is called, not at the first
+    ``next()``.
     """
+    if n < 1 or k < 2:
+        raise ValueError("need n >= 1 and k >= 2")
     # k^n >= cap.bit_length() is 2^(k^n) > cap, checked before any cell is built
     if k ** n >= cap.bit_length():
         raise CapExceeded(f"2^(k^n) = 2^{k ** n} exceeds cap {cap}")
@@ -303,7 +333,7 @@ def parse_class(text: str | bytes) -> HypothesisClass:
         patterns.add(row)
     if n is None:
         raise ClassFormatError(1, "missing header line 'n=<int> k=<int>'")
-    return HypothesisClass(n, k, frozenset(patterns))
+    return HypothesisClass._of(n, k, frozenset(patterns))
 
 
 def _parse_class_bulk(text: str) -> HypothesisClass | None:
@@ -331,7 +361,7 @@ def _parse_class_bulk(text: str) -> HypothesisClass | None:
         return None
     # n references to one iterator: zip cuts it into the rows
     patterns = frozenset(zip(*[map(labels.__getitem__, chain.from_iterable(body))] * n))
-    return HypothesisClass(n, k, patterns) if len(patterns) == len(body) else None
+    return HypothesisClass._of(n, k, patterns) if len(patterns) == len(body) else None
 
 
 def parse_class_json(text: str | bytes) -> HypothesisClass:
@@ -361,15 +391,12 @@ def _class_from_json(obj) -> HypothesisClass:
     rows = obj["patterns"]
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise ClassFormatError(1, "field 'patterns' must be a list of lists")
-    # accept in bulk when every row has length n and every label is an int
-    # (not a bool) in [0, k) and no row repeats; else the loop names the
-    # first bad row
-    if (set(map(len, rows)) <= {n} and set(map(type, chain.from_iterable(rows))) <= {int}
-            and min(chain.from_iterable(rows), default=0) >= 0
-            and max(chain.from_iterable(rows), default=0) < k):
+    # accept in bulk when the rows pass the label rule and no row repeats;
+    # else the loop names the first bad row
+    if _rows_valid(rows, n, k):
         distinct = frozenset(map(tuple, rows))
         if len(distinct) == len(rows):
-            return HypothesisClass(n, k, distinct)
+            return HypothesisClass._of(n, k, distinct)
     patterns: set[Pattern] = set()
     for row in rows:
         t = tuple(row)
@@ -381,7 +408,7 @@ def _class_from_json(obj) -> HypothesisClass:
         if t in patterns:
             raise ClassFormatError(1, f"duplicate pattern {t}")
         patterns.add(t)
-    return HypothesisClass(n, k, frozenset(patterns))
+    return HypothesisClass._of(n, k, frozenset(patterns))
 
 
 def serialize_class(hc: HypothesisClass) -> str:

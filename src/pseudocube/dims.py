@@ -60,7 +60,7 @@ from itertools import combinations, product
 from operator import mul
 from typing import Iterable, NamedTuple
 
-from .classes import (CapExceeded, Coords, HypothesisClass, Pattern, _Frozen, _setattr, lines,
+from .classes import (CapExceeded, Coords, HypothesisClass, Pattern, _Frozen, lines,
                       project)
 
 GRAPH_DIM_BUDGET = 2 ** 22
@@ -123,7 +123,7 @@ def max_pseudocube_core(p: HypothesisClass, m: int) -> PseudoCubeReport:
                 for r in members[key]:
                     if r in alive:
                         heapq.heappush(heap, (r, j))
-    core = HypothesisClass(p.n, p.k, frozenset(alive))
+    core = HypothesisClass._of(p.n, p.k, frozenset(alive))
     return PseudoCubeReport(core=core,
                             is_pseudo_cube=bool(p.patterns) and not trace,
                             peel_trace=tuple(trace))
@@ -466,10 +466,7 @@ class ListClass(_Frozen):
     __match_args__ = ("n", "k", "ell", "members")
 
     def __init__(self, n: int, k: int, ell: int, members: frozenset[ListMember]):
-        _setattr(self, "n", n)
-        _setattr(self, "k", k)
-        _setattr(self, "ell", ell)
-        _setattr(self, "members", members)
+        self._set(n, k, ell, members)
         if self.n < 1 or self.k < 2 or self.ell < 1:
             raise ValueError("need n >= 1, k >= 2, ell >= 1")
         for c in self.members:
@@ -485,7 +482,7 @@ class ListClass(_Frozen):
     def from_hypothesis_class(cls, h: HypothesisClass) -> "ListClass":
         """The singleton-list (ell = 1) view of an ordinary class."""
         members = frozenset(tuple(frozenset((v,)) for v in p) for p in h.patterns)
-        return cls(h.n, h.k, 1, members)
+        return cls._of(h.n, h.k, 1, members)
 
     def sorted_members(self) -> list[ListMember]:
         return sorted(self.members, key=lambda c: tuple(tuple(sorted(s)) for s in c))

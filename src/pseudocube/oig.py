@@ -111,7 +111,7 @@ def shift(h: HypothesisClass, i: int) -> HypothesisClass:
     shifted = frozenset(f[:i] + (v,) + f[i:]
                         for (_, f), members in lines(h.patterns, (i,)).items()
                         for v in range(len(members)))
-    return HypothesisClass(h.n, h.k, shifted)
+    return HypothesisClass._of(h.n, h.k, shifted)
 
 
 def shift_fixed_point(h: HypothesisClass) -> HypothesisClass:

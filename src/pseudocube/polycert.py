@@ -79,7 +79,7 @@ from operator import mul, sub
 from typing import Iterable, Optional, Sequence
 
 from .classes import (CapExceeded, DEFAULT_ENUMERATION_CAP, HypothesisClass,
-                      Pattern, _class_from_json, _class_to_json, lines)
+                      Pattern, _class_from_json, _class_to_json, _rows_valid, lines)
 from .bounds import ds_sauer_bound, iter_bounded_high_vectors
 from .dims import ds_dimension, max_pseudocube_core
 
@@ -554,8 +554,8 @@ def _construct(h: HypothesisClass, ell: int, d: int, memo: dict,
             if base is None:
                 base = indicators[target] = indicator_poly(target, h.k)
         else:
-            proj = HypothesisClass(h.n - 1, h.k,
-                                   frozenset(q[:i] + q[i + 1:] for q in ordering[t:]))
+            proj = HypothesisClass._of(h.n - 1, h.k,
+                                       frozenset(q[:i] + q[i + 1:] for q in ordering[t:]))
             sub_order, _, sub_polys, sub_entries = _construct(proj, ell, d, memo, indicators)
             base = _indicator_on_class(sub_order, sub_polys, sub_entries, target)
         factor, scale = _lagrange_coeffs(p[i], values)
@@ -663,7 +663,7 @@ def load_certificate(text: str) -> tuple[Certificate, HypothesisClass]:
             for term in _list(terms):
                 if not (isinstance(term, list) and len(term) == 3 and type(term[1]) is int):
                     raise ValueError(f"term {term!r} is not [exponents, numerator, denominator]")
-                exp = _ints(term[0], 0, h.k)
+                exp = _ints(term[0], h.k)
                 if len(exp) != h.n or exp in parsed:
                     raise ValueError(f"exponent vector {exp} has the wrong length or repeats")
                 parsed[exp] = term[1], _int(term[2], 1)
@@ -674,7 +674,7 @@ def load_certificate(text: str) -> tuple[Certificate, HypothesisClass]:
     cert = Certificate(n=h.n, k=h.k, ell=_int(obj["ell"], 1, h.k + 1),
                        d=_int(obj["d"], 0, h.n + 1),
                        ordering=tuple(map(pats.__getitem__,
-                                          _ints(obj["ordering"], 0, len(pats)))),
+                                          _ints(obj["ordering"], len(pats)))),
                        witnesses=witnesses, q_polys=q_polys)
     return cert, h
 
@@ -682,7 +682,7 @@ def load_certificate(text: str) -> tuple[Certificate, HypothesisClass]:
 def _witness(w, h: HypothesisClass) -> tuple[int, tuple[int, ...]]:
     if not isinstance(w, dict) or w.keys() != {"direction", "values"}:
         raise ValueError(f"witness {w!r} is not null or a direction and values")
-    return _int(w["direction"], 0, h.n), _ints(w["values"], 0, h.k)
+    return _int(w["direction"], 0, h.n), _ints(w["values"], h.k)
 
 
 def _int(value, lo: int, hi: Optional[int] = None) -> int:
@@ -692,15 +692,14 @@ def _int(value, lo: int, hi: Optional[int] = None) -> int:
     return value
 
 
-def _ints(values, lo: int, hi: int) -> tuple[int, ...]:
+def _ints(values, hi: int) -> tuple[int, ...]:
     """The list ``values`` as a tuple if every value is an int (not a bool)
-    within [lo, hi), checked in bulk; else the ValueError ``_int`` raises
-    for the first value that is not."""
+    within [0, hi), checked in bulk by the class label rule; else the
+    ValueError ``_int`` raises for the first value that is not."""
     values = _list(values)
-    if (set(map(type, values)) <= {int} and min(values, default=lo) >= lo
-            and max(values, default=lo) < hi):
+    if _rows_valid((values,), len(values), hi):
         return tuple(values)
-    return tuple(_int(v, lo, hi) for v in values)
+    return tuple(_int(v, 0, hi) for v in values)
 
 
 def _list(value) -> list:

@@ -253,6 +253,11 @@ class TestIterAllClasses:
             tracemalloc.stop()
         assert peak < 2 ** 20
 
+    @pytest.mark.parametrize("n,k", [(2, 0), (2, -1), (0, 3), (2, 1)])
+    def test_n_and_k_are_checked_when_called(self, n, k):
+        with pytest.raises(ValueError, match=r"^need n >= 1 and k >= 2$"):
+            iter_all_classes(n, k)
+
     def test_cap_boundary(self):
         assert sum(1 for _ in iter_all_classes(2, 2, cap=2 ** 4)) == 15
         with pytest.raises(CapExceeded, match=r"2\^4 exceeds cap 15"):
