@@ -35,7 +35,7 @@ _EXPORTS = {
                   "PacReport", "RealizabilityError", "UcReport", "list_provider",
                   "loo_experiment", "make_task", "pac_learn", "population_error",
                   "predict_one_inclusion", "theoretical_ell_prime",
-                  "uc_experiment", "verify_projection_bound"),
+                  "uc_experiment"),
     "cli": ("main",),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

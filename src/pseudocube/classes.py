@@ -8,9 +8,11 @@ All objects here are immutable; every operation is a pure function of its
 inputs, so they may be called concurrently.  Randomness enters only through
 explicit seeds.
 
-``HypothesisClass`` and ``dims.ListClass`` are plain classes on one base,
-``_Frozen``, which compares, hashes and prints them by their fields and
-refuses assignment, as a frozen dataclass would; this module does not import
+The package declares a record in one of two forms.  A plain result is a
+``typing.NamedTuple``.  A record that checks its fields, caches a value or
+defines ``__len__``, ``HypothesisClass`` among them, is a plain class on one
+base, ``_Frozen``, which compares, hashes and prints it by its fields and
+refuses assignment, as a frozen dataclass would.  No module imports
 ``dataclasses``, whose ``inspect`` import every command line run would pay.
 ``json`` is imported by the JSON reader and writer only.
 
@@ -59,6 +61,9 @@ class _Frozen:
     repr ``Name(field=value, ...)``; and an ``AttributeError`` on assigning
     or deleting any attribute.  A ``cached_property`` writes the instance
     dict directly, and pickling copies that dict, cached values included.
+    The records of ``classes``, ``dims``, ``oig``, ``polycert`` and
+    ``listlearn`` that check, cache or have a length use it; the
+    ``RECORDS`` of ``tests/test_classes.py`` list them.
 
     ``_set`` is the one field setter: it uses ``object.__setattr__``, which
     keeps the instance dict unmaterialised so that attribute reads stay

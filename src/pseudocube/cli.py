@@ -12,11 +12,11 @@ first word names a subcommand, only that subparser is registered, and
 otherwise all eight are, for the top-level help and errors; the help, usage
 and error text is the same either way.  Importing this module loads
 ``classes``, ``dims`` and ``bounds``, which ``dim``, ``bound``, ``gen``,
-``sweep`` and ``verify`` use on every run, and neither ``dataclasses`` (with
-its ``inspect``) nor ``json``; ``oig``, ``polycert``, ``listlearn``,
-``fractions``, ``dataclasses`` and ``json`` are imported inside the functions
-that use them (``json`` by ``cert``, ``--format json`` and the JSON class
-reader and writer), so a run pays for no module it never calls.  Exit
+``sweep`` and ``verify`` use on every run, and not ``json``; ``oig``,
+``polycert``, ``listlearn``, ``fractions`` and ``json`` are imported inside
+the functions that use them (``json`` where a certificate, ``--format json``
+or a JSON class file is read or written), so a run pays for no module it
+never calls.  No command loads ``dataclasses`` or its ``inspect``.  Exit
 status: 0 on success, 1 when a verified inequality fails (an implementation
 bug, so it is reported loudly), 2 on usage or input errors.
 """
@@ -228,7 +228,6 @@ def _cmd_cert(args, out) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_learn(args, out) -> int:
-    from dataclasses import replace
     from fractions import Fraction
     from .listlearn import (ExperimentConfig, loo_experiment, make_task, pac_learn,
                             pac_sample_plan, uc_experiment)
@@ -242,7 +241,8 @@ def _cmd_learn(args, out) -> int:
         # the smallest sample the learner can partition: the provider keeps
         # every drawn label, and no list is wider than k
         p, chunk, val = pac_sample_plan(task, cfg, task.k)
-        cfg = replace(cfg, m=p * chunk + val)
+        cfg = ExperimentConfig(cfg.epsilon, cfg.delta, p * chunk + val,
+                               cfg.trials, cfg.seed, cfg.ell)
     args.m = cfg.m
     if args.action == "loo":
         rep = loo_experiment(task, cfg, provider_kind=args.provider,

@@ -1,8 +1,7 @@
 """Desk-scale list learners on finite instance spaces: the one-inclusion
 list predictor, its leave-one-out experiment, the amplified PAC learner
 (train several candidates on chunks, pick the validation minimizer), plus
-the uniform-convergence experiment and the projection lower-bound check
-for graph-shattered list classes.
+the uniform-convergence experiment.
 
 Instances are indices 0..n-1 into a finite set; concepts are the patterns of
 a hypothesis class over those instances.  All randomness flows from one root
@@ -15,19 +14,16 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
-from itertools import accumulate, compress, product
-from typing import Optional, Sequence
+from itertools import accumulate, compress
+from typing import NamedTuple, Optional, Sequence
 
-from .classes import CapExceeded, HypothesisClass, Pattern
-from .dims import ListClass, ListMember, ds_dimension, graph_dimension
+from .classes import HypothesisClass, Pattern, _Frozen
+from .dims import ListClass, ds_dimension, graph_dimension
 from .oig import min_max_orientation_indexed
 
 LabeledPair = tuple[int, int]
-
-PROJECTION_ENUM_CAP = 2 ** 22
 
 # the amplified learner's chunk and validation constants (see pac_sample_plan)
 CHUNK_FACTOR = 160
@@ -61,14 +57,15 @@ def theoretical_ell_prime(ell: int, d: int, m: int) -> float:
 # Tasks and list providers
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ConceptTask:
+class ConceptTask(_Frozen):
     """A realizable distribution: instance x carries probability probs[x] and
     label target[x], so the target concept has zero loss by construction."""
 
-    concepts: HypothesisClass
-    target: Pattern
-    probs: tuple[Fraction, ...]
+    __match_args__ = ("concepts", "target", "probs")
+
+    def __init__(self, concepts: HypothesisClass, target: Pattern,
+                 probs: tuple[Fraction, ...]):
+        self._set(concepts, target, probs)
 
     @property
     def n(self) -> int:
@@ -113,14 +110,13 @@ def make_task(concepts: HypothesisClass, target_index: int,
                        probs=tuple(w / total for w in weights))
 
 
-@dataclass(frozen=True)
-class ListPredictor:
+class ListPredictor(_Frozen):
     """Per-instance label sets of size at most ell."""
 
-    ell: int
-    lists: tuple[frozenset[int], ...]
+    __match_args__ = ("ell", "lists")
 
-    def __post_init__(self):
+    def __init__(self, ell: int, lists: tuple[frozenset[int], ...]):
+        self._set(ell, lists)
         for s in self.lists:
             if len(s) > self.ell:
                 raise ValueError(f"list of size {len(s)} exceeds ell={self.ell}")
@@ -317,25 +313,19 @@ def _predict(concepts: HypothesisClass, allowed: Sequence[int],
 # Experiments
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    epsilon: float = 0.1
-    delta: float = 0.05
-    m: int = 100
-    trials: int = 1000
-    seed: int = 0
-    ell: int = 1
-    test_size: int = 1000
+class ExperimentConfig(_Frozen):
+    __match_args__ = ("epsilon", "delta", "m", "trials", "seed", "ell", "test_size")
 
-    def __post_init__(self):
+    def __init__(self, epsilon: float = 0.1, delta: float = 0.05, m: int = 100,
+                 trials: int = 1000, seed: int = 0, ell: int = 1, test_size: int = 1000):
+        self._set(epsilon, delta, m, trials, seed, ell, test_size)
         if not (0 < self.epsilon < 1) or not (0 < self.delta < 1):
             raise ValueError("epsilon and delta must lie in (0,1)")
         if self.m < 1 or self.trials < 1 or self.ell < 1:
             raise ValueError("need m >= 1, trials >= 1, ell >= 1")
 
 
-@dataclass(frozen=True)
-class LooReport:
+class LooReport(NamedTuple):
     """Leave-one-out outcome against the orientation-degree bound
     40 * ell * d * max(log ell', 1) / m.  ``ell_prime_theory`` is the width a
     generic first-stage list learner would promise at this sample size; it is
@@ -416,8 +406,7 @@ def pac_sample_plan(task: ConceptTask, cfg: ExperimentConfig,
     return p, chunk, val
 
 
-@dataclass(frozen=True)
-class PacReport:
+class PacReport(NamedTuple):
     predictor: ListPredictor
     test_error: float
     population_error: Fraction
@@ -473,58 +462,10 @@ def pac_learn(task: ConceptTask, cfg: ExperimentConfig,
 
 
 # ---------------------------------------------------------------------------
-# Graph-shattering projection bound and uniform convergence
+# Uniform convergence
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ProjectionBoundReport:
-    lhs: int
-    rhs: Fraction
-    holds: bool
-
-
-def verify_projection_bound(c: ListClass, coords: Sequence[int], pivot: Sequence[int],
-                            witnesses: dict[tuple[int, ...], ListMember],
-                            cap: int = PROJECTION_ENUM_CAP) -> ProjectionBoundReport:
-    """Check the size of the union of realizable label tuples against
-    (2*ell)^g / (4 * (2*ell-1)^g) * ell^g for a certified graph-shattered
-    coordinate set of size g.
-
-    The certificate is validated first: every sign vector b needs a member
-    whose lists contain pivot_i exactly when b_i = 1.
-    """
-    coords = tuple(coords)
-    pivot = tuple(pivot)
-    g = len(coords)
-    if len(pivot) != g:
-        raise ValueError(f"pivot length {len(pivot)} differs from |S| = {g}")
-    for bits in product((0, 1), repeat=g):
-        member = witnesses.get(bits)
-        if member is None:
-            raise ValueError(f"certification fails: no witness for sign pattern {bits}")
-        if member not in c.members:
-            raise ValueError(f"certification fails: witness for {bits} is not a member")
-        for j, i in enumerate(coords):
-            if (pivot[j] in member[i]) != bool(bits[j]):
-                raise ValueError(f"certification fails: witness for {bits} has wrong "
-                                 f"sign at coordinate {i}")
-    union: set[tuple[int, ...]] = set()
-    budget = cap
-    for bits in product((0, 1), repeat=g):
-        member = witnesses[bits]
-        lists = [sorted(member[i]) for i in coords]
-        count = math.prod(len(s) for s in lists)
-        budget -= count
-        if budget < 0:
-            raise CapExceeded(f"projection enumeration exceeds cap {cap}")
-        union.update(product(*lists))
-    ell = c.ell
-    rhs = Fraction((2 * ell) ** g * ell ** g, 4 * (2 * ell - 1) ** g)
-    return ProjectionBoundReport(lhs=len(union), rhs=rhs, holds=len(union) >= rhs)
-
-
-@dataclass(frozen=True)
-class UcReport:
+class UcReport(NamedTuple):
     sup_deviation: float
     g_dim: int
     trials: int

@@ -30,11 +30,11 @@ is the one a fresh network would give.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from typing import NamedTuple
 
-from .classes import CapExceeded, HypothesisClass, Pattern, lines
+from .classes import CapExceeded, HypothesisClass, Pattern, _Frozen, lines
 
 DENSITY_BRUTEFORCE_CAP = 14
 
@@ -44,20 +44,19 @@ def _check_ell(ell: int) -> None:
         raise ValueError(f"ell must be >= 1, got {ell}")
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(_Frozen):
     """A hyperedge: the patterns agreeing with ``fixed`` off ``direction``."""
 
-    direction: int
-    fixed: Pattern
-    members: tuple[Pattern, ...]
+    __match_args__ = ("direction", "fixed", "members")
+
+    def __init__(self, direction: int, fixed: Pattern, members: tuple[Pattern, ...]):
+        self._set(direction, fixed, members)
 
     def __len__(self) -> int:
         return len(self.members)
 
 
-@dataclass(frozen=True)
-class OneInclusionGraph:
+class OneInclusionGraph(NamedTuple):
     n: int
     k: int
     vertices: tuple[Pattern, ...]
@@ -73,8 +72,7 @@ def build_oig(h: HypothesisClass) -> OneInclusionGraph:
     return OneInclusionGraph(n=h.n, k=h.k, vertices=tuple(sorted(h.patterns)), edges=edges)
 
 
-@dataclass(frozen=True)
-class DegreeStats:
+class DegreeStats(NamedTuple):
     """Per-vertex ell-degrees plus the two exact-rational averages.
 
     avd averages |e| over edges larger than ell; savd averages the overhangs
@@ -290,8 +288,7 @@ def _greedy_first_phase(num_vertices: int, incidence: list[tuple[int, ...]],
     return charged, flow
 
 
-@dataclass(frozen=True)
-class ListOrientation:
+class ListOrientation(NamedTuple):
     """Assignment of at most ell own vertices to every edge."""
 
     ell: int

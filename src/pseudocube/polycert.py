@@ -68,18 +68,17 @@ lex standard monomials under both coordinate orders include x0*x1.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, islice, repeat
 from operator import mul, sub
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .classes import (CapExceeded, DEFAULT_ENUMERATION_CAP, HypothesisClass,
-                      Pattern, _class_from_json, _class_to_json, _rows_valid, lines)
+                      Pattern, _Frozen, _class_from_json, _class_to_json, _rows_valid,
+                      lines)
 from .bounds import ds_sauer_bound, iter_bounded_high_vectors
 from .dims import ds_dimension, max_pseudocube_core
 
@@ -118,16 +117,16 @@ def _in_basis(exp: Pattern, n: int, k: int, ell: int, d: int) -> bool:
 # Sparse rational polynomials with per-variable degree < k
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RationalPolynomial:
+class RationalPolynomial(_Frozen):
     """The polynomial sum(c * x^e for e, c in terms) / den, in lowest terms:
     ``terms`` holds (exponent vector, nonzero integer numerator) pairs sorted
     by exponent vector, and den is positive and coprime to the numerators
     taken together, so equal polynomials compare equal."""
 
-    n: int
-    terms: tuple[tuple[Pattern, int], ...]
-    den: int
+    __match_args__ = ("n", "terms", "den")
+
+    def __init__(self, n: int, terms: tuple[tuple[Pattern, int], ...], den: int):
+        self._set(n, terms, den)
 
     @classmethod
     def _over(cls, n: int, terms: _Terms, den: int) -> "RationalPolynomial":
@@ -227,8 +226,7 @@ class _MonomialColumns(dict):
                                    for column, (_, c) in zip(columns, poly.terms)))))
 
 
-@dataclass(frozen=True)
-class SpanReport:
+class SpanReport(NamedTuple):
     rank: int
     spans: bool
     monomial_count: int
@@ -450,8 +448,7 @@ def spanning_certificate(h: HypothesisClass, ell: int, d: int,
 # Peeling orders and the triangular Q construction
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     """Peeling certificate for a class.
 
     ``ordering`` lists all patterns; ``witnesses[t]`` is (direction, neighbor
@@ -616,6 +613,7 @@ def _indicator_on_class(ordering: tuple[Pattern, ...],
 def serialize_certificate(cert: Certificate, h: HypothesisClass) -> str:
     """Self-contained JSON: the class, the ordering as indices into its
     canonical pattern order, per-step witnesses, optional polynomial terms."""
+    import json
     pats = h.sorted_patterns()
     index = {p: i for i, p in enumerate(pats)}
     obj = {
@@ -640,6 +638,7 @@ def load_certificate(text: str) -> tuple[Certificate, HypothesisClass]:
     Malformed input (invalid JSON, a missing field, a wrong type, an index or
     a value out of range, an empty class) raises ValueError.
     """
+    import json
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -659,14 +658,7 @@ def load_certificate(text: str) -> tuple[Certificate, HypothesisClass]:
     if "q_polys" in obj:
         q_polys = []
         for terms in _list(obj["q_polys"]):
-            parsed: dict[Pattern, tuple[int, int]] = {}
-            for term in _list(terms):
-                if not (isinstance(term, list) and len(term) == 3 and type(term[1]) is int):
-                    raise ValueError(f"term {term!r} is not [exponents, numerator, denominator]")
-                exp = _ints(term[0], h.k)
-                if len(exp) != h.n or exp in parsed:
-                    raise ValueError(f"exponent vector {exp} has the wrong length or repeats")
-                parsed[exp] = term[1], _int(term[2], 1)
+            parsed = _terms(_list(terms), h)
             den = math.lcm(*(b for _, b in parsed.values()))
             q_polys.append(RationalPolynomial._over(
                 h.n, ((e, a * (den // b)) for e, (a, b) in parsed.items()), den))
@@ -677,6 +669,28 @@ def load_certificate(text: str) -> tuple[Certificate, HypothesisClass]:
                                           _ints(obj["ordering"], len(pats)))),
                        witnesses=witnesses, q_polys=q_polys)
     return cert, h
+
+
+def _terms(terms: list, h: HypothesisClass) -> dict[Pattern, tuple[int, int]]:
+    """A polynomial's [exponents, numerator, denominator] terms as exponent
+    vector -> (numerator, denominator).  The exponent vectors are checked
+    in one call of the class label rule; anything it does not accept, or a
+    repeated vector, takes the loop, which names the first bad term."""
+    if (all(isinstance(t, list) and len(t) == 3 and type(t[1]) is int
+            and isinstance(t[0], list) for t in terms)
+            and _rows_valid([t[0] for t in terms], h.n, h.k)):
+        exps = [tuple(t[0]) for t in terms]
+        if len(set(exps)) == len(exps):
+            return {e: (t[1], _int(t[2], 1)) for e, t in zip(exps, terms)}
+    parsed: dict[Pattern, tuple[int, int]] = {}
+    for term in terms:
+        if not (isinstance(term, list) and len(term) == 3 and type(term[1]) is int):
+            raise ValueError(f"term {term!r} is not [exponents, numerator, denominator]")
+        exp = _ints(term[0], h.k)
+        if len(exp) != h.n or exp in parsed:
+            raise ValueError(f"exponent vector {exp} has the wrong length or repeats")
+        parsed[exp] = term[1], _int(term[2], 1)
+    return parsed
 
 
 def _witness(w, h: HypothesisClass) -> tuple[int, tuple[int, ...]]:
@@ -708,8 +722,7 @@ def _list(value) -> list:
     return value
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(NamedTuple):
     ok: bool
     failures: tuple[str, ...]
 

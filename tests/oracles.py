@@ -21,6 +21,10 @@ every subparser registered, and the JSON class reader's row-by-row check.
 Two helpers only build or test inputs: ``is_pseudocube`` reads the
 definition off the line index, and ``poly_from_dict`` writes rational
 coefficients in the package's polynomial form.
+
+``verify_projection_bound`` checks a fact about graph-shattered list
+classes, the projection lower bound of acceptance 11, that no package code
+relies on.
 """
 
 import argparse
@@ -28,9 +32,10 @@ import math
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
+from typing import NamedTuple
 
-from pseudocube import (ClassFormatError, HypothesisClass, RationalPolynomial,
-                        RealizabilityError, __version__, cli)
+from pseudocube import (CapExceeded, ClassFormatError, HypothesisClass, ListClass,
+                        RationalPolynomial, RealizabilityError, __version__, cli)
 from pseudocube.classes import lines
 from pseudocube.oig import (FlowNetwork, is_downward_closed, min_max_orientation_indexed,
                             shift)
@@ -265,6 +270,54 @@ def version_space_lists(concepts: HypothesisClass, sample) -> tuple:
     return tuple(frozenset(y for x, y in sample if x == u) if u in seen
                  else frozenset(c[u] for c in consistent)
                  for u in range(concepts.n))
+
+
+PROJECTION_ENUM_CAP = 2 ** 22
+
+
+class ProjectionBoundReport(NamedTuple):
+    lhs: int
+    rhs: Fraction
+    holds: bool
+
+
+def verify_projection_bound(c: ListClass, coords, pivot, witnesses: dict,
+                            cap: int = PROJECTION_ENUM_CAP) -> ProjectionBoundReport:
+    """Check the size of the union of realizable label tuples against
+    (2*ell)^g / (4 * (2*ell-1)^g) * ell^g for a certified graph-shattered
+    coordinate set of size g.
+
+    The certificate is validated first: every sign vector b needs a member
+    whose lists contain pivot_i exactly when b_i = 1.
+    """
+    coords = tuple(coords)
+    pivot = tuple(pivot)
+    g = len(coords)
+    if len(pivot) != g:
+        raise ValueError(f"pivot length {len(pivot)} differs from |S| = {g}")
+    for bits in product((0, 1), repeat=g):
+        member = witnesses.get(bits)
+        if member is None:
+            raise ValueError(f"certification fails: no witness for sign pattern {bits}")
+        if member not in c.members:
+            raise ValueError(f"certification fails: witness for {bits} is not a member")
+        for j, i in enumerate(coords):
+            if (pivot[j] in member[i]) != bool(bits[j]):
+                raise ValueError(f"certification fails: witness for {bits} has wrong "
+                                 f"sign at coordinate {i}")
+    union: set[tuple[int, ...]] = set()
+    budget = cap
+    for bits in product((0, 1), repeat=g):
+        member = witnesses[bits]
+        lists = [sorted(member[i]) for i in coords]
+        count = math.prod(len(s) for s in lists)
+        budget -= count
+        if budget < 0:
+            raise CapExceeded(f"projection enumeration exceeds cap {cap}")
+        union.update(product(*lists))
+    ell = c.ell
+    rhs = Fraction((2 * ell) ** g * ell ** g, 4 * (2 * ell - 1) ** g)
+    return ProjectionBoundReport(lhs=len(union), rhs=rhs, holds=len(union) >= rhs)
 
 
 def brute_min_max_outdegree(num_vertices: int, edges: list[tuple[int, ...]],

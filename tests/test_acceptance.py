@@ -13,7 +13,8 @@ import pseudocube as pc
 from pseudocube.listlearn import ExperimentConfig, pac_sample_plan
 
 from conftest import all_classes, random_corpus
-from oracles import brute_min_max_outdegree, degree_peel_empties, max_flow_value
+from oracles import (brute_min_max_outdegree, degree_peel_empties, max_flow_value,
+                     verify_projection_bound)
 
 
 def report(num, name, ok, detail=""):
@@ -251,7 +252,7 @@ def test_11_projection_lower_bound():
         if res.value == 0:
             continue
         pivot, witnesses = res.witness_structure
-        rep = pc.verify_projection_bound(c, res.witness, pivot, witnesses)
+        rep = verify_projection_bound(c, res.witness, pivot, witnesses)
         ok &= rep.holds
         certified += 1
     ok &= certified >= 10

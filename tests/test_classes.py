@@ -4,14 +4,17 @@ import pickle
 import random
 import re
 import tracemalloc
+from dataclasses import make_dataclass
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pseudocube import (CapExceeded, ClassFormatError, HypothesisClass,
+from pseudocube import (CapExceeded, ClassFormatError, ConceptTask, Edge, ExperimentConfig,
+                        HypothesisClass, ListClass, ListPredictor, RationalPolynomial,
                         parse_class, parse_class_json, project, random_class,
                         serialize_class, serialize_class_json)
-from pseudocube.classes import _parse_class_bulk, iter_all_classes, lines
+from pseudocube.classes import _Frozen, _parse_class_bulk, iter_all_classes, lines
 
 from oracles import json_rows_class, validate_patterns
 
@@ -69,51 +72,112 @@ class TestConstruction:
         assert len(h) == 2
 
 
-class TestValueSemantics:
-    """A class is an immutable value of its three fields, as the frozen
-    dataclass it replaced was, without being a tuple."""
+PATS = frozenset({(0, 1), (2, 0)})
+HALF = (Fraction(1, 2), Fraction(1, 2))
+MEMBERS = frozenset({(frozenset({0, 2}),), (frozenset({1}),)})
 
-    PATS = frozenset({(0, 1), (2, 0)})
+# every immutable record on ``classes._Frozen``: (class, field values,
+# values that differ from them in a field, cached attributes)
+RECORDS = [
+    (HypothesisClass, (2, 3, PATS),
+     [(2, 4, PATS), (3, 3, frozenset()), (2, 3, frozenset({(0, 1)}))], ("columns", "label_masks")),
+    (ListClass, (1, 3, 2, MEMBERS),
+     [(2, 3, 2, frozenset()), (1, 4, 2, MEMBERS), (1, 3, 3, MEMBERS),
+      (1, 3, 2, frozenset({(frozenset({1}),)}))], ()),
+    (Edge, (0, (1,), ((0, 1), (1, 1))),
+     [(1, (1,), ((0, 1), (1, 1))), (0, (0,), ((0, 1), (1, 1))), (0, (1,), ((0, 1),))], ()),
+    (RationalPolynomial, (2, (((0, 1), 3),), 2),
+     [(3, (((0, 1), 3),), 2), (2, (((1, 0), 3),), 2), (2, (((0, 1), 3),), 5)], ("_factored",)),
+    (ConceptTask, (HypothesisClass(2, 3, PATS), (0, 1), HALF),
+     [(HypothesisClass(2, 4, PATS), (0, 1), HALF), (HypothesisClass(2, 3, PATS), (2, 0), HALF),
+      (HypothesisClass(2, 3, PATS), (0, 1), (Fraction(1, 4), Fraction(3, 4)))], ("cum_weights",)),
+    (ListPredictor, (2, (frozenset({0, 1}), frozenset({2}))),
+     [(3, (frozenset({0, 1}), frozenset({2}))), (2, (frozenset({0}), frozenset({2})))], ()),
+    (ExperimentConfig, (0.2, 0.1, 10, 5, 3, 1, 50),
+     [(0.3, 0.1, 10, 5, 3, 1, 50), (0.2, 0.2, 10, 5, 3, 1, 50), (0.2, 0.1, 11, 5, 3, 1, 50),
+      (0.2, 0.1, 10, 6, 3, 1, 50), (0.2, 0.1, 10, 5, 4, 1, 50), (0.2, 0.1, 10, 5, 3, 2, 50),
+      (0.2, 0.1, 10, 5, 3, 1, 51)], ()),
+]
+RECORD_IDS = [cls.__name__ for cls, *_ in RECORDS]
+
+
+def _filled(cls, values, cached):
+    """The record with its cached attributes built."""
+    record = cls(*values)
+    for name in cached:
+        getattr(record, name)
+    return record
+
+
+class TestValueSemantics:
+    """A class, and every other record on ``classes._Frozen``, is an
+    immutable value of its fields, as the frozen dataclass it replaced was,
+    without being a tuple."""
 
     def test_positional_and_keyword_construction_agree(self):
-        h = HypothesisClass(2, 3, self.PATS)
-        assert HypothesisClass(n=2, k=3, patterns=self.PATS) == h
-        assert HypothesisClass(2, k=3, patterns=self.PATS) == h
-        assert (h.n, h.k, h.patterns) == (2, 3, self.PATS)
+        for cls, values, _, _ in RECORDS:
+            record = cls(*values)
+            fields = dict(zip(cls.__match_args__, values))
+            assert cls(**fields) == record
+            assert cls(values[0], **{name: fields[name] for name in cls.__match_args__[1:]}) == record
+            assert tuple(getattr(record, name) for name in cls.__match_args__) == values
+            with pytest.raises(TypeError):
+                cls(*values, None)
         with pytest.raises(TypeError):
             HypothesisClass(2, 3)
 
-    def test_equality_and_hash_follow_the_three_fields_only(self):
-        h = HypothesisClass(2, 3, self.PATS)
-        h.columns, h.label_masks  # the cached layout is no field
-        same = HypothesisClass(2, 3, frozenset(self.PATS))
-        assert h == same and not h != same and hash(h) == hash(same)
-        assert hash(h) == hash((2, 3, self.PATS))
-        for other in (HypothesisClass(2, 4, self.PATS), HypothesisClass(3, 3, frozenset()),
-                      HypothesisClass(2, 3, frozenset({(0, 1)}))):
-            assert h != other
-        # another type with equal field values is not equal
-        assert h != (2, 3, self.PATS)
-        assert h.__eq__((2, 3, self.PATS)) is NotImplemented
+    def test_equality_and_hash_follow_the_fields_only(self):
+        for cls, values, variants, cached in RECORDS:
+            record = _filled(cls, values, cached)  # a cached value is no field
+            same = cls(*values)
+            assert record == same and not record != same and hash(record) == hash(same)
+            assert hash(record) == hash(values)
+            for other in variants:
+                assert record != cls(*other)
+            # another type with equal field values is not equal, a tuple or
+            # a record of another class with the same field names
+            assert record != values
+            assert record.__eq__(values) is NotImplemented
+            twin = type("Twin", (_Frozen,), {"__match_args__": cls.__match_args__})._of(*values)
+            assert record != twin and twin != record
 
     def test_repr_is_the_dataclass_form(self):
         assert (repr(HypothesisClass(2, 3, frozenset({(0, 1)})))
                 == "HypothesisClass(n=2, k=3, patterns=frozenset({(0, 1)}))")
+        for cls, values, _, _ in RECORDS:
+            dataclass = make_dataclass(cls.__name__, cls.__match_args__, frozen=True)
+            assert repr(cls(*values)) == repr(dataclass(*values))
 
-    @pytest.mark.parametrize("name", ["n", "k", "patterns", "columns", "other"])
+    @pytest.mark.parametrize("name", ["n", "k", "patterns", "columns", "other"] + sorted(
+        {name for cls, _, _, cached in RECORDS for name in cls.__match_args__ + cached}
+        - {"n", "k", "patterns", "columns"}))
     def test_assigning_or_deleting_an_attribute_raises(self, name):
-        h = HypothesisClass(2, 3, self.PATS)
-        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
-            setattr(h, name, 1)
-        with pytest.raises(AttributeError):
-            delattr(h, name)
-        assert (h.n, h.k, h.patterns) == (2, 3, self.PATS)
+        for cls, values, _, cached in RECORDS:
+            record = _filled(cls, values, cached)
+            with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+                setattr(record, name, 1)
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+            assert tuple(getattr(record, field) for field in cls.__match_args__) == values
 
     def test_iterating_yields_no_fields(self):
-        h = HypothesisClass(2, 3, self.PATS)
-        with pytest.raises(TypeError, match="not iterable"):
-            iter(h)
-        assert not isinstance(h, tuple)
+        for cls, values, _, _ in RECORDS:
+            record = cls(*values)
+            with pytest.raises(TypeError, match="not iterable"):
+                iter(record)
+            assert not isinstance(record, tuple)
+
+    @pytest.mark.parametrize("cls, values, cached", [(cls, values, cached)
+                                                     for cls, values, _, cached in RECORDS],
+                             ids=RECORD_IDS)
+    def test_pickling_keeps_the_fields_and_the_cached_values(self, cls, values, cached):
+        record = _filled(cls, values, cached)
+        copy = pickle.loads(pickle.dumps(record))
+        assert type(copy) is cls and copy == record and hash(copy) == hash(record)
+        for name in cached:
+            assert vars(copy)[name] == vars(record)[name]
+        if cls is ConceptTask:
+            assert copy.cum_weights == [0.5, 1.0]
 
 
 class TestParsing:

@@ -632,18 +632,19 @@ class TestFreshProcess:
         assert proc.stdout == expected
 
 
-# imported only by the commands that use them: ``dataclasses`` (which
-# imports ``inspect``) by ``cert``, ``learn`` and ``oig``, ``json`` by ``cert``
-# and the JSON readers and writers
+# ``json`` is imported only where JSON is read or written (a certificate
+# file, ``--format json`` and the JSON class reader and writer), and no run
+# imports ``dataclasses``, which would bring ``inspect``
 START_UP_FREE = ("dataclasses", "inspect", "json")
 
 
 def test_importing_the_cli_leaves_multiprocessing_out():
-    """Only ``sweep`` with ``--jobs`` above 1 uses ``multiprocessing``, and
-    only ``oig``, ``cert``, ``learn`` and ``verify shiftlaws`` use ``oig``,
-    ``polycert``, ``listlearn``, ``fractions`` or ``dataclasses``, and only
-    JSON input and output uses ``json``, so a fresh import of the command
-    line, which every run pays, loads none of them.  Modules the bare
+    """Only ``sweep`` and ``learn loo`` with ``--jobs`` above 1 use
+    ``multiprocessing``, only ``oig``, ``cert``, ``learn`` and ``verify
+    shiftlaws`` use ``oig``, ``polycert``, ``listlearn`` or ``fractions``,
+    no command uses ``dataclasses`` or ``inspect``, and only JSON input and
+    output uses ``json``, so a fresh import of the command line, which every
+    run pays, loads none of them.  Modules the bare
     interpreter had loaded before the import, by a ``site`` hook say, are
     not counted."""
     import subprocess, sys
@@ -678,11 +679,20 @@ def bare_modules():
     (["dim", "ds", "--input", "H"], ()),
     (["sweep", "random", "--n", "2", "--k", "3", "--count", "5"], ()),
     (["verify", "corollary", "--n", "2", "--k", "3", "--count", "5"], ()),
-    (["dim", "ds", "--input", "H", "--format", "json"], ("json",))],
-    ids=["dim ds", "sweep random", "verify corollary", "dim ds json"])
-def test_a_run_loads_dataclasses_inspect_and_json_only_when_it_uses_them(three_k3, bare_modules,
-                                                                         argv, loaded):
-    code, modules = _imported(["-m", "pseudocube", *(three_k3 if a == "H" else a for a in argv)])
+    (["dim", "ds", "--input", "H", "--format", "json"], ("json",)),
+    (["cert", "span", "--input", "H"], ()),
+    (["cert", "verify", "--cert", "C"], ("json",)),
+    (["learn", "loo", "--input", "H", "--m", "5", "--trials", "5"], ()),
+    (["oig", "stats", "--input", "H"], ()),
+    (["verify", "shiftlaws", "--n", "2", "--k", "3", "--count", "5"], ())],
+    ids=["dim ds", "sweep random", "verify corollary", "dim ds json", "cert span",
+         "cert verify", "learn loo", "oig stats", "verify shiftlaws"])
+def test_no_run_loads_dataclasses_or_inspect_and_only_json_io_loads_json(three_k3, bare_modules,
+                                                                         tmp_path, argv, loaded):
+    cert = tmp_path / "H3.json"
+    assert main(["cert", "replay", "--input", three_k3, "--output", str(cert)]) == 0
+    argv = [{"H": three_k3, "C": str(cert)}.get(a, a) for a in argv]
+    code, modules = _imported(["-m", "pseudocube", *argv])
     assert code == 0
     assert set(loaded) <= modules
     assert [m for m in START_UP_FREE if m in modules - bare_modules and m not in loaded] == []

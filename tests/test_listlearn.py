@@ -11,13 +11,13 @@ from pseudocube import (ExperimentConfig, HypothesisClass, ListClass,
                         graph_dimension, list_provider, loo_experiment,
                         make_task, orient_minmax, outdegrees, pac_learn,
                         population_error, predict_one_inclusion, project,
-                        random_class, uc_experiment, verify_projection_bound)
+                        random_class, uc_experiment)
 from pseudocube import listlearn
 from pseudocube.listlearn import (pac_sample_plan, _allowed, _draw_pairs, _predict,
                                   _trial_seed)
 
 from oracles import (restriction_class, sample_realizable, slow_predict_one_inclusion,
-                     slow_reduced_problem, version_space_lists)
+                     slow_reduced_problem, verify_projection_bound, version_space_lists)
 
 
 def make(n, k, pats):

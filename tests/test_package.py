@@ -30,8 +30,7 @@ EXPORTS = {
     "listlearn": ["ConceptTask", "ExperimentConfig", "ListPredictor", "LooReport",
                   "PacReport", "RealizabilityError", "UcReport", "list_provider",
                   "loo_experiment", "make_task", "pac_learn", "population_error",
-                  "predict_one_inclusion", "theoretical_ell_prime", "uc_experiment",
-                  "verify_projection_bound"],
+                  "predict_one_inclusion", "theoretical_ell_prime", "uc_experiment"],
     "cli": ["main"],
 }
 HOME = [(name, module) for module, names in EXPORTS.items() for name in names]

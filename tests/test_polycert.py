@@ -3,7 +3,6 @@ import json
 import math
 import random
 import re
-from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -632,7 +631,7 @@ class TestConstructQ:
         # non-integer exponent
         for exp in ((1, 1), (2, 0), (0,), (0, 0, 0), (0, 0, 1), (0, -1), (0.5, 0)):
             bad = poly_from_dict(2, {exp: Fraction(1)})
-            rep = verify_certificate(replace(cert, q_polys=(bad,) + cert.q_polys[1:]), THREE)
+            rep = verify_certificate(cert._replace(q_polys=(bad,) + cert.q_polys[1:]), THREE)
             assert "poly 0: monomial" in rep.failures[0] and "outside the basis" in rep.failures[0]
 
     def test_stuck_when_budget_below_dimension(self):
@@ -721,6 +720,26 @@ def mutated_certificates(draw):
     return text
 
 
+ODD = st.sampled_from([True, 1.0, None, "1", [0]])
+# terms of a poly over THREE: valid exponent vectors that often repeat, and
+# denominators that are sometimes not positive
+WELL_FORMED_TERMS = st.tuples(st.sampled_from([(0, 0), (0, 1), (1, 1)]).map(list),
+                              st.integers(-2, 2), st.integers(-1, 3)).map(list)
+MALFORMED_TERMS = st.one_of(
+    st.tuples(st.lists(st.integers(-1, 2) | ODD, min_size=1, max_size=3) | ODD,
+              st.integers(-2, 2) | ODD, st.integers(-1, 3) | ODD).map(list),
+    st.lists(st.integers(0, 1), max_size=4), ODD)
+
+
+@st.composite
+def term_lists(draw):
+    """A certificate poly's term list, with at most one malformed term."""
+    terms = draw(st.lists(WELL_FORMED_TERMS, max_size=4))
+    if draw(st.booleans()):
+        terms.insert(draw(st.integers(0, len(terms))), draw(MALFORMED_TERMS))
+    return terms
+
+
 class TestCertificateFuzz:
     @settings(max_examples=200, deadline=None)
     @given(mutated_certificates())
@@ -739,7 +758,7 @@ class TestCertificateFuzz:
         except ValueError:
             return
         if cert.q_polys is not None:
-            rest = verify_certificate(replace(cert, q_polys=None), h).failures
+            rest = verify_certificate(cert._replace(q_polys=None), h).failures
             assert verify_certificate(cert, h).failures == rest + polynomial_failures(cert, h)
 
     @settings(max_examples=200, deadline=None)
@@ -777,6 +796,31 @@ class TestCertificateFuzz:
 
         assert (outcome(lambda: polycert._ints(values, hi))
                 == outcome(lambda: tuple(polycert._int(v, 0, hi) for v in values)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(term_lists())
+    def test_terms_checked_in_bulk_match_the_per_term_check(self, terms):
+        # the loader's per-term loop before the bulk check: the first bad
+        # term is named, and a repeated vector comes before a bad denominator
+        def per_term():
+            parsed = {}
+            for term in terms:
+                if not (isinstance(term, list) and len(term) == 3 and type(term[1]) is int):
+                    raise ValueError(f"term {term!r} is not [exponents, numerator, denominator]")
+                exp = polycert._ints(term[0], THREE.k)
+                if len(exp) != THREE.n or exp in parsed:
+                    raise ValueError(f"exponent vector {exp} has the wrong length or repeats")
+                parsed[exp] = term[1], polycert._int(term[2], 1)
+            return list(parsed.items())
+
+        def outcome(read):
+            try:
+                return read()
+            except ValueError as exc:
+                return str(exc)
+
+        assert (outcome(lambda: list(polycert._terms(terms, THREE).items()))
+                == outcome(per_term))
 
     @pytest.mark.parametrize("cls", [[], {"n": 2, "k": 2}, {"n": True, "k": 2, "patterns": []},
                                      {"n": 2, "k": 2, "patterns": "x"},
